@@ -14,6 +14,11 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== tests =="
 cargo test -q --offline
 
+echo "== benchmark tests (xbench: tiny-config digests, rebuild = driver) =="
+# xbench is its own workspace, so the root build never compiles it; this
+# step catches a public-API change that would break the benchmark.
+cargo test -q --offline --manifest-path xbench/Cargo.toml
+
 echo "== bench smoke (writes BENCH_pipeline.json) =="
 # Stash the committed baseline before the bench overwrites it, so the
 # fresh numbers can be compared against what the repo last recorded.

@@ -5,15 +5,23 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use xborder::{World, WorldConfig};
-use xborder_browser::{run_study, ExtensionDataset, StudyConfig};
-use xborder_classify::classifier::{classify_with_stages, ClassifierStages};
+use xborder_browser::{run_study_degraded, ExtensionDataset, StudyConfig};
+use xborder_classify::classifier::{classify_with_stages_threads, ClassifierStages};
 use xborder_classify::{classify, generate_lists, FilterList, FilterRule, RuleEngine};
+use xborder_faults::{DegradationReport, FaultInjector};
 use xborder_webgraph::Domain;
 
 fn dataset() -> (World, ExtensionDataset, FilterList, FilterList) {
     let mut world = World::build(WorldConfig::small(11));
     let mut rng = StdRng::seed_from_u64(12);
-    let ds = run_study(&StudyConfig::small(), &world.graph, &mut world.dns, &mut rng);
+    let ds = run_study_degraded(
+        &StudyConfig::small(),
+        &world.graph,
+        &mut world.dns,
+        &mut rng,
+        &FaultInjector::inactive(),
+        &mut DegradationReport::default(),
+    );
     let (el, ep) = generate_lists(&world.graph);
     (world, ds, el, ep)
 }
@@ -42,7 +50,7 @@ fn bench_ablation_stages(c: &mut Criterion) {
     ];
     for (name, stages) in configs {
         g.bench_function(name, |b| {
-            b.iter(|| classify_with_stages(&ds.requests, &ds.domains, &el, &ep, stages))
+            b.iter(|| classify_with_stages_threads(&ds.requests, &ds.domains, &el, &ep, stages, 1))
         });
     }
     g.finish();

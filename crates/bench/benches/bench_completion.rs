@@ -7,6 +7,7 @@ use xborder::ips::TrackerIpSet;
 use xborder::pipeline::run_extension_pipeline;
 use xborder::{World, WorldConfig};
 use xborder_bench::{Repro, Scale};
+use xborder_faults::{DegradationReport, FaultInjector};
 
 fn bench_ip_set_build(c: &mut Criterion) {
     let repro = Repro::run(Scale::Small, 71);
@@ -16,7 +17,11 @@ fn bench_ip_set_build(c: &mut Criterion) {
     c.bench_function("ipcompletion/pdns_forward_completion", |b| {
         b.iter(|| {
             let mut set = TrackerIpSet::from_dataset(&repro.out.dataset, &repro.out.classification);
-            set.complete_with_pdns(repro.world.dns.pdns())
+            set.complete_with_pdns_degraded(
+                repro.world.dns.pdns(),
+                &FaultInjector::inactive(),
+                &mut DegradationReport::default(),
+            )
         })
     });
 }

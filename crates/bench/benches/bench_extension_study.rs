@@ -7,7 +7,8 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use xborder::{World, WorldConfig};
-use xborder_browser::{run_study, RenderConfig, RenderEngine, StudyConfig, VisitSampler};
+use xborder_browser::{run_study_degraded, RenderConfig, RenderEngine, StudyConfig, VisitSampler};
+use xborder_faults::{DegradationReport, FaultInjector};
 
 fn bench_world_build(c: &mut Criterion) {
     c.bench_function("worldgen/small_world_build", |b| {
@@ -22,7 +23,14 @@ fn bench_full_study(c: &mut Criterion) {
             || World::build(WorldConfig::small(2)),
             |mut world| {
                 let mut rng = StdRng::seed_from_u64(3);
-                run_study(&StudyConfig::small(), &world.graph, &mut world.dns, &mut rng)
+                run_study_degraded(
+                    &StudyConfig::small(),
+                    &world.graph,
+                    &mut world.dns,
+                    &mut rng,
+                    &FaultInjector::inactive(),
+                    &mut DegradationReport::default(),
+                )
             },
             BatchSize::PerIteration,
         )
@@ -41,18 +49,22 @@ fn bench_render_visit(c: &mut Criterion) {
     let mut out = Vec::with_capacity(4096);
     let n_pub = world.graph.publishers.len();
     let mut i = 0usize;
+    let inj = FaultInjector::inactive();
+    let mut report = DegradationReport::default();
     c.bench_function("fig2/render_single_visit", |b| {
         b.iter(|| {
             i = (i + 1) % n_pub;
             out.clear();
             let publisher = world.graph.publisher(xborder_webgraph::PublisherId(i as u32));
-            engine.render_visit(
+            engine.render_visit_degraded(
                 &user,
                 publisher,
                 xborder_netsim::SimTime(100),
                 &mut world.dns,
                 &mut out,
                 &mut rng,
+                &inj,
+                &mut report,
             )
         })
     });

@@ -250,19 +250,7 @@ impl VisitSampler {
 
 /// Runs the full study: generates the population, simulates every visit,
 /// and returns the dataset. All DNS resolutions flow through `dns` (and
-/// therefore into its passive-DNS sensor).
-pub fn run_study<R: Rng>(
-    cfg: &StudyConfig,
-    graph: &WebGraph,
-    dns: &mut DnsSim,
-    rng: &mut R,
-) -> ExtensionDataset {
-    let inj = FaultInjector::inactive();
-    let mut report = DegradationReport::default();
-    run_study_degraded(cfg, graph, dns, rng, &inj, &mut report)
-}
-
-/// [`run_study`] with fault injection — the sequential entry point:
+/// therefore into its passive-DNS sensor). The sequential entry point:
 /// exactly [`run_study_sharded`] with a thread budget of 1.
 ///
 /// Two fault layers apply:
@@ -278,8 +266,8 @@ pub fn run_study<R: Rng>(
 ///   to [`Referrer::FirstParty`], mirroring what a real log-joiner sees
 ///   when a parent entry is missing.
 ///
-/// With an inactive injector this is exactly [`run_study`] — same RNG
-/// streams, same outputs.
+/// With [`FaultInjector::inactive`] this is the fault-free study: every
+/// fault coin stays cold and the RNG streams are untouched.
 pub fn run_study_degraded<R: Rng>(
     cfg: &StudyConfig,
     graph: &WebGraph,
@@ -759,7 +747,14 @@ mod tests {
         let graph = generate(&WebGraphConfig::small(), &mut rng);
         let mut dns = DnsSim::new();
         wire_all(&graph, &mut dns);
-        let ds = run_study(&StudyConfig::small(), &graph, &mut dns, &mut rng);
+        let ds = run_study_degraded(
+            &StudyConfig::small(),
+            &graph,
+            &mut dns,
+            &mut rng,
+            &FaultInjector::inactive(),
+            &mut DegradationReport::default(),
+        );
         (graph, ds)
     }
 
@@ -823,7 +818,14 @@ mod tests {
         let graph = generate(&WebGraphConfig::small(), &mut rng);
         let mut dns = DnsSim::new();
         wire_all(&graph, &mut dns);
-        let ds = run_study(&StudyConfig::small(), &graph, &mut dns, &mut rng);
+        let ds = run_study_degraded(
+            &StudyConfig::small(),
+            &graph,
+            &mut dns,
+            &mut rng,
+            &FaultInjector::inactive(),
+            &mut DegradationReport::default(),
+        );
         assert!(!dns.pdns().is_empty());
         assert!(dns.pdns().len() <= ds.stats().n_third_party_domains.max(1) * 2);
     }

@@ -197,26 +197,12 @@ impl<'a> RenderEngine<'a> {
         n
     }
 
-    /// Renders one visit of `user` to `publisher` at time `t`, appending
-    /// all generated requests to `out`. Returns how many were appended.
-    pub fn render_visit<R: Rng + ?Sized>(
-        &self,
-        user: &User,
-        publisher: &Publisher,
-        t: SimTime,
-        dns: &mut DnsSim,
-        out: &mut Vec<LoggedRequest>,
-        rng: &mut R,
-    ) -> usize {
-        let inj = FaultInjector::inactive();
-        let mut report = DegradationReport::default();
-        self.render_visit_degraded(user, publisher, t, dns, out, rng, &inj, &mut report)
-    }
-
-    /// [`RenderEngine::render_visit`] with fault injection: resolver
-    /// timeouts (with sim-clock backoff and bounded retry) can suppress or
-    /// delay individual requests. With an inactive injector this is
-    /// exactly the fault-free render path.
+    /// Renders one visit of `user` to `publisher` at time `t`, resolving
+    /// through `dns`, and appends all generated requests to `out`. Returns
+    /// how many were appended. Under fault injection, resolver timeouts
+    /// (with sim-clock backoff and bounded retry) can suppress or delay
+    /// individual requests; with [`FaultInjector::inactive`] this is the
+    /// fault-free render path.
     #[allow(clippy::too_many_arguments)]
     pub fn render_visit_degraded<R: Rng + ?Sized>(
         &self,
@@ -380,6 +366,20 @@ mod tests {
         }
     }
 
+    /// Fault-free render of one visit.
+    fn render(
+        engine: &RenderEngine<'_>,
+        user: &User,
+        p: &Publisher,
+        dns: &mut DnsSim,
+        out: &mut Vec<LoggedRequest>,
+        rng: &mut StdRng,
+    ) -> usize {
+        let inj = FaultInjector::inactive();
+        let mut report = DegradationReport::default();
+        engine.render_visit_degraded(user, p, SimTime(100), dns, out, rng, &inj, &mut report)
+    }
+
     fn setup() -> (WebGraph, DnsSim, UserPopulation) {
         let mut rng = StdRng::seed_from_u64(1);
         let graph = generate(&WebGraphConfig::small(), &mut rng);
@@ -397,7 +397,7 @@ mod tests {
         let mut out = Vec::new();
         let mut total = 0usize;
         for p in graph.publishers.iter().take(30) {
-            total += engine.render_visit(&pop.users[0], p, SimTime(100), &mut dns, &mut out, &mut rng);
+            total += render(&engine, &pop.users[0], p, &mut dns, &mut out, &mut rng);
         }
         assert_eq!(total, out.len());
         assert!(total > 100, "only {total} requests from 30 visits");
@@ -410,7 +410,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut out = Vec::new();
         for p in &graph.publishers {
-            engine.render_visit(&pop.users[1], p, SimTime(100), &mut dns, &mut out, &mut rng);
+            render(&engine, &pop.users[1], p, &mut dns, &mut out, &mut rng);
         }
         let cascade_reqs = out
             .iter()
@@ -439,7 +439,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut out = Vec::new();
             for p in &graph.publishers {
-                engine.render_visit(user, p, SimTime(100), &mut dns, &mut out, &mut rng);
+                render(&engine, user, p, &mut dns, &mut out, &mut rng);
             }
             out.len()
         };
@@ -459,7 +459,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let mut out = Vec::new();
         for p in graph.publishers.iter().take(10) {
-            engine.render_visit(&pop.users[2], p, SimTime(100), &mut dns, &mut out, &mut rng);
+            render(&engine, &pop.users[2], p, &mut dns, &mut out, &mut rng);
         }
         for r in &out {
             assert!(xborder_netsim::ip::is_simulator_address(r.ip));
@@ -480,7 +480,20 @@ mod tests {
         let pop = UserPopulation::generate(&UserPopulationConfig::small(), &mut rng);
         let engine = RenderEngine::new(&graph, RenderConfig::default());
         let mut out = Vec::new();
-        let n = engine.render_visit(&pop.users[0], &graph.publishers[0], SimTime(0), &mut dns, &mut out, &mut rng);
+        let inj = FaultInjector::inactive();
+        let mut report = DegradationReport::default();
+        let user = &pop.users[0];
+        let p = &graph.publishers[0];
+        let n = engine.render_visit_degraded(
+            user,
+            p,
+            SimTime(0),
+            &mut dns,
+            &mut out,
+            &mut rng,
+            &inj,
+            &mut report,
+        );
         assert_eq!(n, 0);
         assert!(out.is_empty());
     }

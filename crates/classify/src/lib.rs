@@ -14,12 +14,14 @@
 //! 3. **Keyword matching.** Remaining requests with arguments and telltale
 //!    keywords ("usermatch", "rtb", "cookiesync", ...) join the LTF.
 //!
-//! [`rules`] is the filter-list engine, [`listgen`] writes
-//! easylist/easyprivacy-style lists from the synthetic world's blocklist
-//! bits, [`classifier`] runs the three stages over a whole log,
-//! [`incremental`] is the chunk-at-a-time delta-fixpoint twin the
-//! streaming driver uses, and [`eval`] scores the result against ground
-//! truth.
+//! [`rules`] is the filter-list language and [`engine`] its compiled
+//! form, [`listgen`] writes easylist/easyprivacy-style lists from the
+//! synthetic world's blocklist bits, [`classifier`] holds the result types
+//! and the batch entry points, [`incremental`] is the one implementation
+//! of the three stages — run over the whole log as one chunk by
+//! [`classify`], or chunk by chunk with cross-chunk state by
+//! [`IncrementalClassifier`] (streaming and worldscale drivers) — and
+//! [`eval`] scores the result against ground truth.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,8 +34,8 @@ pub mod listgen;
 pub mod rules;
 
 pub use classifier::{
-    classify, classify_with_stages, classify_with_stages_threads, method_counts,
-    Classification, ClassificationResult, ClassifierStages, MethodCounts,
+    classify, classify_with_stages_threads, Classification, ClassificationResult,
+    ClassifierStages, MethodCounts,
 };
 pub use engine::{AhoCorasick, HostRow, KeywordScanner, RuleEngine, TokenPrefilter};
 pub use incremental::{ChunkClassification, IncrementalClassifier};

@@ -112,14 +112,8 @@ impl TrackerIpSet {
     /// Forward-pDNS completion: for every known tracking FQDN, pull every
     /// address the sensors ever saw for it and add the missing ones with
     /// their validity windows. Returns the completion summary.
-    pub fn complete_with_pdns(&mut self, pdns: &PassiveDnsDb) -> CompletionStats {
-        let inj = FaultInjector::inactive();
-        let mut report = DegradationReport::default();
-        self.complete_with_pdns_degraded(pdns, &inj, &mut report)
-    }
-
-    /// [`TrackerIpSet::complete_with_pdns`] under fault injection: the
-    /// sensor network can have gaps (records invisible → fewer completed
+    ///
+    /// Under fault injection the sensor network can have gaps (records invisible → fewer completed
     /// IPs) and stale records (windows collapsed to first-seen → narrower
     /// validity scoping downstream). Per-record accounting lands in
     /// `report`.
@@ -232,7 +226,11 @@ mod tests {
         pdns.observe(&d("t.x.com"), "1.0.0.2".parse().unwrap(), SimTime(7));
         pdns.observe(&d("other.com"), "1.0.0.3".parse().unwrap(), SimTime(8));
 
-        let stats = set.complete_with_pdns(&pdns);
+        let stats = set.complete_with_pdns_degraded(
+            &pdns,
+            &FaultInjector::inactive(),
+            &mut DegradationReport::default(),
+        );
         assert_eq!(stats.n_observed, 1);
         assert_eq!(stats.n_added, 1);
         assert!((stats.added_fraction() - 1.0).abs() < 1e-9);
@@ -251,7 +249,11 @@ mod tests {
     fn empty_set_completion_is_noop() {
         let mut set = TrackerIpSet::default();
         let pdns = PassiveDnsDb::new();
-        let stats = set.complete_with_pdns(&pdns);
+        let stats = set.complete_with_pdns_degraded(
+            &pdns,
+            &FaultInjector::inactive(),
+            &mut DegradationReport::default(),
+        );
         assert_eq!(stats.n_observed, 0);
         assert_eq!(stats.n_added, 0);
         assert_eq!(stats.added_fraction(), 0.0);

@@ -51,69 +51,44 @@ pub struct StudyOutputs {
     pub snapshots: Vec<crate::snapshots::RollingSnapshot>,
 }
 
-impl StudyOutputs {
-    /// Destination estimate for a request's IP under a chosen provider map.
-    pub fn estimate_for(&self, map: &EstimateMap, ip: IpAddr) -> Option<GeoEstimate> {
-        map.get(&ip).copied()
-    }
-}
-
-/// Freezes a provider's answers over an IP list into a map.
-pub fn freeze_estimates<G: Geolocator + ?Sized>(provider: &G, ips: &[IpAddr]) -> EstimateMap {
-    let inj = FaultInjector::inactive();
-    let mut report = DegradationReport::default();
-    freeze_estimates_degraded(provider, ips, &inj, &mut report)
-}
-
-/// [`freeze_estimates`] under fault injection: provider misses (and, for
-/// IPmap, probe outages and quorum abstentions) leave gaps in the map and
-/// are tallied in `report`.
-pub fn freeze_estimates_degraded<G: Geolocator + ?Sized>(
-    provider: &G,
-    ips: &[IpAddr],
-    inj: &FaultInjector,
-    report: &mut DegradationReport,
-) -> EstimateMap {
-    ips.iter()
-        .filter_map(|ip| {
-            provider
-                .locate_degraded(*ip, inj, report)
-                .map(|e| (*ip, e))
-        })
-        .collect()
-}
-
-/// [`freeze_estimates_degraded`] sharded over contiguous chunks of the IP
-/// list with `std::thread::scope`.
+/// Freezes a provider's answers over an IP list into a map, sharded over
+/// contiguous chunks of the list with `std::thread::scope`. Provider
+/// misses (and, for IPmap, probe outages and quorum abstentions) under
+/// `inj` leave gaps in the map and are tallied in the returned report.
 ///
-/// Bit-identical to the sequential freeze for any `threads`: each lookup
-/// depends only on `(provider, ip, inj)` — fault coins are hash-derived
-/// per entity, per-IP measurement RNG is seeded from the address — and the
-/// per-shard reports are merged by original chunk order (counter addition
-/// commutes, see [`DegradationReport::absorb_counters`]). Returns the map
-/// plus the merged counters for the caller to absorb into its report.
+/// Bit-identical for any `threads`: each lookup depends only on
+/// `(provider, ip, inj)` — fault coins are hash-derived per entity, per-IP
+/// measurement RNG is seeded from the address — and the per-shard reports
+/// are merged by original chunk order (counter addition commutes, see
+/// [`DegradationReport::absorb_counters`]). Returns the map plus the
+/// merged counters for the caller to absorb into its report.
 pub fn freeze_estimates_degraded_sharded<G: Geolocator + Sync + ?Sized>(
     provider: &G,
     ips: &[IpAddr],
     inj: &FaultInjector,
     threads: usize,
 ) -> (EstimateMap, DegradationReport) {
-    let mut merged = DegradationReport::default();
+    let freeze = |ips: &[IpAddr]| {
+        let mut report = DegradationReport::default();
+        let map: EstimateMap = ips
+            .iter()
+            .filter_map(|ip| {
+                provider
+                    .locate_degraded(*ip, inj, &mut report)
+                    .map(|e| (*ip, e))
+            })
+            .collect();
+        (map, report)
+    };
     if threads <= 1 || ips.len() < 2 * threads {
-        let map = freeze_estimates_degraded(provider, ips, inj, &mut merged);
-        return (map, merged);
+        return freeze(ips);
     }
     let chunk = ips.len().div_ceil(threads);
+    let freeze = &freeze;
     let shards: Vec<(EstimateMap, DegradationReport)> = std::thread::scope(|scope| {
         let handles: Vec<_> = ips
             .chunks(chunk)
-            .map(|c| {
-                scope.spawn(move || {
-                    let mut r = DegradationReport::default();
-                    let m = freeze_estimates_degraded(provider, c, inj, &mut r);
-                    (m, r)
-                })
-            })
+            .map(|c| scope.spawn(move || freeze(c)))
             .collect();
         handles
             .into_iter()
@@ -121,6 +96,7 @@ pub fn freeze_estimates_degraded_sharded<G: Geolocator + Sync + ?Sized>(
             .collect()
     });
     let mut map = EstimateMap::with_capacity(ips.len());
+    let mut merged = DegradationReport::default();
     for (m, r) in shards {
         map.extend(m);
         merged.absorb_counters(&r);
@@ -164,19 +140,19 @@ pub(crate) fn geolocate_providers(
         let mut noise = StdRng::seed_from_u64(ia_noise_seed);
         RegistryDb::build(RegistryStyle::IpApiLike, &world.infra, &mut seat, &mut noise)
     };
-    let (ipmap_estimates, maxmind_estimates, ipapi_estimates) = if threads <= 1 {
-        // Exact legacy sequential path.
-        let a = freeze_estimates_degraded(&ipmap, &ip_list, inj, report);
-        let b = freeze_estimates_degraded(&build_mm(), &ip_list, inj, report);
-        let c = freeze_estimates_degraded(&build_ia(), &ip_list, inj, report);
-        (a, b, c)
+    // The three provider freezes run concurrently (sequentially at a budget
+    // of 1), each sharded over the IP list; per-provider reports merge in
+    // the fixed sequential order (ipmap → mm → ia), which equals the
+    // sequential totals because counter addition commutes.
+    let ((a, ra), (b, rb), (c, rc)) = if threads <= 1 {
+        (
+            freeze_estimates_degraded_sharded(&ipmap, &ip_list, inj, 1),
+            freeze_estimates_degraded_sharded(&build_mm(), &ip_list, inj, 1),
+            freeze_estimates_degraded_sharded(&build_ia(), &ip_list, inj, 1),
+        )
     } else {
-        // The three provider freezes run concurrently, each sharded over
-        // the IP list; per-provider reports merge in the fixed sequential
-        // order (ipmap → mm → ia), which equals the legacy totals because
-        // counter addition commutes.
-        let per_provider = threads.div_ceil(3).max(1);
-        let ((a, ra), (b, rb), (c, rc)) = std::thread::scope(|scope| {
+        let per_provider = threads.div_ceil(3);
+        std::thread::scope(|scope| {
             let ha = scope.spawn(|| {
                 freeze_estimates_degraded_sharded(&ipmap, &ip_list, inj, per_provider)
             });
@@ -191,12 +167,11 @@ pub(crate) fn geolocate_providers(
                 hb.join().expect("maxmind freeze panicked"),
                 hc.join().expect("ipapi freeze panicked"),
             )
-        });
-        report.absorb_counters(&ra);
-        report.absorb_counters(&rb);
-        report.absorb_counters(&rc);
-        (a, b, c)
+        })
     };
+    report.absorb_counters(&ra);
+    report.absorb_counters(&rb);
+    report.absorb_counters(&rc);
     // Assignment-cache counters accumulate inside the IpMap (shared
     // read-only across the shard threads); snapshot them into the report
     // after the freeze. Budget-invariant by construction (DESIGN.md §5e).
@@ -204,7 +179,7 @@ pub(crate) fn geolocate_providers(
     report.geoloc_assign_cache_hits = cache_stats.hits;
     report.geoloc_assign_cache_misses = cache_stats.misses;
     report.geoloc_index_probe_visits = cache_stats.index_probe_visits;
-    (ipmap_estimates, maxmind_estimates, ipapi_estimates)
+    (a, b, c)
 }
 
 /// Runs the full extension pipeline against a built world.
@@ -259,8 +234,8 @@ pub fn run_extension_pipeline_degraded(
         report.timings.study_alloc_bytes = b1.saturating_sub(b0);
     }
 
-    // 2. Classification (Table 2). Stage-1 blocklist matching shards over
-    // the request log; labels never depend on the split.
+    // 2. Classification (Table 2): the three stages over the whole log, on
+    // this thread (the thread budget does not apply).
     let t_stage = Instant::now();
     let (easylist, easyprivacy) = generate_lists(&world.graph);
     let classification = classify_with_stages_threads(

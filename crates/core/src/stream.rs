@@ -355,7 +355,7 @@ pub fn run_extension_pipeline_streaming(
     // them once for the delta-fixpoint classifier. Constructing the
     // classifier compiles the rule engine (automaton, anchor buckets,
     // prefilter), so the compile cost books under classify time — the
-    // batch path pays the same compile inside `classify_with_stages`.
+    // batch path pays the same compile inside `classify_with_stages_threads`.
     let (easylist, easyprivacy) = generate_lists(&world.graph);
     let stages = ClassifierStages::default();
     let t_compile = Instant::now();
@@ -555,7 +555,7 @@ pub fn run_extension_pipeline_streaming(
 
     // Table-2 distinct counts absorbed chunk by chunk through the
     // classifier's persistent seen-bits — no full-log recount. The
-    // running totals equal `method_counts` over the concatenated log
+    // running totals equal `classify`'s over the concatenated log
     // (pinned in the classify crate's incremental tests).
     let (abp, semi) = classifier.counts();
     let stage2_rounds = 1 + stage2_depth;

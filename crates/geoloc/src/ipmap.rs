@@ -392,14 +392,8 @@ impl<'w, G: GroundTruth + ?Sized> IpMap<'w, G> {
     /// assignment, two measurement rounds), returning the assigned probes'
     /// indices with their min-RTTs. This is the raw material both the
     /// majority-vote estimator and the CBG estimator consume.
-    pub fn measure(&self, ip: IpAddr) -> Option<Vec<(usize, f64)>> {
-        let inj = FaultInjector::inactive();
-        let mut report = DegradationReport::default();
-        self.measure_degraded(ip, &inj, &mut report)
-    }
-
-    /// [`IpMap::measure`] under fault injection: assigned probes can be
-    /// dark (outage → no RTT at all) or flaky (RTT inflated by a congestion
+    ///
+    /// Under fault injection, assigned probes can be dark (outage → no RTT at all) or flaky (RTT inflated by a congestion
     /// factor, loosening the distance bound). Returns `None` when *no*
     /// assigned probe answered in a round. Outage/flakiness coins key on
     /// `(target ip, probe index)`, so repeat lookups degrade identically
@@ -485,7 +479,11 @@ impl<'w, G: GroundTruth + ?Sized> IpMap<'w, G> {
     /// Per-probe distance constraints for `ip`: `(probe location, distance
     /// upper bound in km)` — the CBG estimator's input.
     pub fn measure_constraints(&self, ip: IpAddr) -> Option<Vec<(LatLon, f64)>> {
-        let measured = self.measure(ip)?;
+        let measured = self.measure_degraded(
+            ip,
+            &FaultInjector::inactive(),
+            &mut DegradationReport::default(),
+        )?;
         Some(
             measured
                 .into_iter()
@@ -501,15 +499,7 @@ impl<'w, G: GroundTruth + ?Sized> IpMap<'w, G> {
 
     /// Runs the full measurement pipeline for `ip`, returning per-probe
     /// votes alongside the final estimate (exposed for the probe-count
-    /// ablation bench).
-    pub fn locate_with_votes(&self, ip: IpAddr) -> Option<(GeoEstimate, Vec<(CountryCode, f64)>)> {
-        let inj = FaultInjector::inactive();
-        let mut report = DegradationReport::default();
-        self.locate_with_votes_degraded(ip, &inj, &mut report).ok()
-    }
-
-    /// [`IpMap::locate_with_votes`] under fault injection, with a typed
-    /// failure taxonomy: unknown targets, full probe blackouts, and — when
+    /// ablation bench). Under fault injection failures are typed: unknown targets, full probe blackouts, and — when
     /// the plan sets `min_quorum > 0` — abstention whenever fewer than
     /// `min_quorum` probes survive the RTT-bound filter to cast a vote
     /// (a majority over too few voters is noise, not a location).
@@ -584,7 +574,13 @@ impl<'w, G: GroundTruth + ?Sized> IpMap<'w, G> {
     /// country's share of the total vote weight. The paper reports >90 %
     /// agreement, with dissent concentrated at borders.
     pub fn vote_agreement(&self, ip: IpAddr) -> Option<f64> {
-        let (est, votes) = self.locate_with_votes(ip)?;
+        let (est, votes) = self
+            .locate_with_votes_degraded(
+                ip,
+                &FaultInjector::inactive(),
+                &mut DegradationReport::default(),
+            )
+            .ok()?;
         let total: f64 = votes.iter().map(|(_, w)| w).sum();
         if total <= 0.0 {
             return None;
@@ -600,7 +596,13 @@ impl<'w, G: GroundTruth + ?Sized> IpMap<'w, G> {
 
 impl<G: GroundTruth + ?Sized> Geolocator for IpMap<'_, G> {
     fn locate(&self, ip: IpAddr) -> Option<GeoEstimate> {
-        self.locate_with_votes(ip).map(|(e, _)| e)
+        self.locate_with_votes_degraded(
+            ip,
+            &FaultInjector::inactive(),
+            &mut DegradationReport::default(),
+        )
+        .ok()
+        .map(|(e, _)| e)
     }
 
     fn name(&self) -> &str {
@@ -821,7 +823,13 @@ mod tests {
         };
         let ipmap = IpMap::with_mesh(cfg, ProbeMesh::from_probes(probes), &truth, 9);
 
-        let (est, votes) = ipmap.locate_with_votes(truth.ip).unwrap();
+        let (est, votes) = ipmap
+            .locate_with_votes_degraded(
+                truth.ip,
+                &FaultInjector::inactive(),
+                &mut DegradationReport::default(),
+            )
+            .unwrap();
         assert_eq!(est.country, cc!("DE"), "co-located probe decided the vote");
         // The floor caps every individual weight at MIN_VOTE_BOUND_KM⁻².
         let cap = 1.0 / (MIN_VOTE_BOUND_KM * MIN_VOTE_BOUND_KM);
@@ -903,8 +911,14 @@ mod tests {
         for ip in &ips {
             // Twice per IP: repeat lookups must hit and stay bit-stable.
             for _ in 0..2 {
-                let a = cached.measure(*ip).expect("measurement");
-                let b = uncached.measure(*ip).expect("measurement");
+                let inj = FaultInjector::inactive();
+                let mut report = DegradationReport::default();
+                let a = cached
+                    .measure_degraded(*ip, &inj, &mut report)
+                    .expect("measurement");
+                let b = uncached
+                    .measure_degraded(*ip, &inj, &mut report)
+                    .expect("measurement");
                 assert_eq!(a.len(), b.len());
                 for ((ia, ra), (ib, rb)) in a.iter().zip(&b) {
                     assert_eq!(ia, ib);

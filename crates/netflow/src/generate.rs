@@ -143,6 +143,8 @@ pub fn generate_snapshot<R: Rng>(
 
     let mut snapshot = Snapshot::default();
     let mut scratch: Vec<LoggedRequest> = Vec::new();
+    let inj = FaultInjector::inactive();
+    let mut report = DegradationReport::default();
 
     for _ in 0..cfg.n_page_views {
         // Ephemeral subscriber for this sampled view.
@@ -178,7 +180,16 @@ pub fn generate_snapshot<R: Rng>(
         let sub_ip = subscriber_ip(rng);
 
         scratch.clear();
-        engine.render_visit(&user, publisher, t, dns, &mut scratch, rng);
+        engine.render_visit_degraded(
+            &user,
+            publisher,
+            t,
+            dns,
+            &mut scratch,
+            rng,
+            &inj,
+            &mut report,
+        );
         for req in &scratch {
             if let Some(flow) = flow_from_request(req, sub_ip, rng) {
                 snapshot.flows.push(flow);
