@@ -250,6 +250,15 @@ impl UserPopulation {
         sum / (cfg.n_users as f64).max(1.0)
     }
 
+    /// Population-wide mean activity. Visit budgets normalize by it, so it
+    /// must be computed over *all* users, never per chunk, or chunking
+    /// would change visit counts. Equals
+    /// [`UserPopulation::mean_activity_segmented`] on a segmented
+    /// population (same summation order).
+    pub fn mean_activity(&self) -> f64 {
+        self.users.iter().map(|u| u.activity).sum::<f64>() / self.users.len().max(1) as f64
+    }
+
     /// Users residing in EU28 countries.
     pub fn eu28_users(&self) -> impl Iterator<Item = &User> {
         self.users

@@ -121,30 +121,35 @@ impl DestBreakdown {
 
     /// Absorbs one tracking flow, counting it only when the origin is an
     /// EU28 user country and the destination IP has a regioned estimate —
-    /// the exact per-flow filter of [`region_breakdown_eu28`], exposed so
-    /// the out-of-core driver can fold flows segment by segment without a
-    /// materialized dataset (the fold is commutative: counts and total).
+    /// the exact per-flow filter of [`region_breakdown_eu28`], exposed for
+    /// folds without a materialized dataset (the fold is commutative:
+    /// counts and total).
     pub fn absorb_eu28_flow(
         &mut self,
         user_country: CountryCode,
         ip: std::net::IpAddr,
         estimates: &EstimateMap,
     ) {
-        let Ok(country) = WORLD.country(user_country) else {
-            return;
-        };
-        if !country.eu28 {
-            return;
+        if is_eu28(user_country) {
+            self.absorb_flows(ip, 1, estimates);
         }
-        let Some(est) = estimates.get(&ip) else {
-            return;
-        };
-        let Some(to) = est.try_region() else {
-            return;
-        };
-        self.total += 1;
-        *self.counts.entry(to).or_insert(0) += 1;
     }
+
+    /// Absorbs `n` EU28-origin tracking flows to `ip` at once — the
+    /// destination half of [`DestBreakdown::absorb_eu28_flow`], for folds
+    /// that filtered on origin upstream and counted flows per IP.
+    pub(crate) fn absorb_flows(&mut self, ip: std::net::IpAddr, n: u64, estimates: &EstimateMap) {
+        let Some(to) = estimates.get(&ip).and_then(|e| e.try_region()) else {
+            return;
+        };
+        self.total += n;
+        *self.counts.entry(to).or_insert(0) += n;
+    }
+}
+
+/// Is `code` an EU28 country? Unknown codes are not.
+pub(crate) fn is_eu28(code: CountryCode) -> bool {
+    WORLD.country(code).map(|c| c.eu28).unwrap_or(false)
 }
 
 /// Origin-country × destination-country counts for EU28 users (Fig. 8).
@@ -297,7 +302,7 @@ pub fn country_matrix_eu28(out: &StudyOutputs, estimates: &EstimateMap) -> Count
     let mut m = CountryMatrix::default();
     for (_, r) in tracking_flows(out) {
         let from = out.dataset.user_country(r.user);
-        if !WORLD.country(from).map(|c| c.eu28).unwrap_or(false) {
+        if !is_eu28(from) {
             continue;
         }
         let Some(est) = estimates.get(&r.ip) else {

@@ -35,9 +35,11 @@
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::net::IpAddr;
-use xborder_browser::{ExtensionDataset, LoggedRequest, UserPopulation, Visit};
+use xborder_browser::{
+    ExtensionDataset, LoggedRequest, UserPopulation, Visit, LABEL_ABP, LABEL_SEMI,
+};
 use xborder_classify::Classification;
-use xborder_geo::WORLD;
+use crate::confine::is_eu28;
 use xborder_netsim::time::{SimTime, TimeWindow};
 use xborder_netsim::Infrastructure;
 
@@ -173,7 +175,7 @@ impl SnapshotAccumulator {
         let user_eu28 = population
             .users
             .iter()
-            .map(|u| WORLD.country(u.country).map(|c| c.eu28).unwrap_or(false))
+            .map(|u| is_eu28(u.country))
             .collect();
         SnapshotAccumulator {
             wins: SnapshotWindows::new(study, population.users.len(), windows),
@@ -186,13 +188,14 @@ impl SnapshotAccumulator {
         }
     }
 
-    /// Buckets one committed chunk's events. `labels` is parallel to
-    /// `requests`; both are chunk-local (user ids are global).
+    /// Buckets one committed chunk's events. `labels` holds the
+    /// [`xborder_browser::SegmentBlock`] tag bytes, parallel to `requests`;
+    /// both are chunk-local (user ids are global).
     pub(crate) fn absorb_chunk(
         &mut self,
         visits: &[Visit],
         requests: &[LoggedRequest],
-        labels: &[Classification],
+        labels: &[u8],
         infra: &Infrastructure,
     ) {
         debug_assert_eq!(requests.len(), labels.len());
@@ -202,17 +205,17 @@ impl SnapshotAccumulator {
         for (r, l) in requests.iter().zip(labels) {
             let d = &mut self.buckets[self.wins.entry(r.user.0, r.time)];
             d.requests += 1;
-            match l {
-                Classification::AbpTracking => d.abp += 1,
-                Classification::SemiTracking => d.semi += 1,
-                Classification::Clean => continue,
+            match *l {
+                LABEL_ABP => d.abp += 1,
+                LABEL_SEMI => d.semi += 1,
+                _ => continue,
             }
             d.tracker_ips.push(r.ip);
             if self.user_eu28.get(r.user.0 as usize).copied().unwrap_or(false) {
                 d.eu28_tracking += 1;
                 match infra.true_country_of(r.ip) {
                     Some(code) => {
-                        if WORLD.country(code).map(|c| c.eu28).unwrap_or(false) {
+                        if is_eu28(code) {
                             d.eu28_confined += 1;
                         }
                     }
@@ -284,7 +287,7 @@ pub fn batch_snapshots(
         .users
         .users
         .iter()
-        .map(|u| WORLD.country(u.country).map(|c| c.eu28).unwrap_or(false))
+        .map(|u| is_eu28(u.country))
         .collect();
     (0..windows)
         .map(|i| {
@@ -326,7 +329,7 @@ pub fn batch_snapshots(
                     snap.eu28_tracking += 1;
                     match infra.true_country_of(r.ip) {
                         Some(code) => {
-                            if WORLD.country(code).map(|c| c.eu28).unwrap_or(false) {
+                            if is_eu28(code) {
                                 snap.eu28_confined += 1;
                             }
                         }

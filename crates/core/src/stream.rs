@@ -1,5 +1,7 @@
 //! Crash-safe streaming ingestion: the checkpointed incremental twin of
-//! [`crate::pipeline::run_extension_pipeline_degraded`] (DESIGN.md §5g).
+//! [`crate::pipeline::run_extension_pipeline_degraded`] (DESIGN.md §5g),
+//! and the segment loop it shares with the out-of-core driver
+//! ([`crate::worldscale`], DESIGN.md §5j).
 //!
 //! The paper's study ran for 4.5 months; operated as a standing service
 //! (the WhoTracks.Me model), ingestion must survive kills, torn writes and
@@ -9,6 +11,24 @@
 //! `xborder-checkpoint` before moving on. A killed run re-opened on the
 //! same directory replays the durable chunks from disk and continues from
 //! the first missing one.
+//!
+//! ## One segment loop, two sinks
+//!
+//! `run_segments` is the whole study → classify → complete → geolocate
+//! flow for both chunked drivers. It opens and validates the checkpoint
+//! store, replays the durable chunks, ingests the remaining users chunk by
+//! chunk (simulate, classify, checkpoint, absorb pDNS), folds the
+//! degradation counters, propagation depths and observed tracker IP set,
+//! then runs the completion stage checkpoint and geolocation. A driver
+//! supplies where users come from (a materialized population, or ranges
+//! regenerated from `(pop_seed, range)`) and a sink that sees every
+//! committed segment once, in user order:
+//!
+//! * this driver's sink keeps the segments in a [`SegmentStore`] (bounded
+//!   residency with [`StreamConfig::with_resident_window`]), feeds the
+//!   rolling snapshots, and reassembles the full dataset at the end;
+//! * the worldscale sink folds constant-size aggregates and keeps no
+//!   segment at all.
 //!
 //! ## The determinism contract, extended
 //!
@@ -42,6 +62,10 @@
 //!   updates — O(unique values) total across the stream, not O(chunks ×
 //!   state)); resume re-applies the deltas in order instead of
 //!   re-deriving.
+//! * **Commutative tracker fold.** The observed tracker IP set folds
+//!   chunk by chunk through [`TrackerIpSet::absorb_tracking_request`]
+//!   (count, host-set union, window hull), which lands on the batch
+//!   driver's [`TrackerIpSet::from_dataset`] over the concatenated log.
 //! * **Ordered per-chunk side effects.** pDNS observations are buffered
 //!   with the chunk (and checkpointed with it), then absorbed into the
 //!   world's sensor as each chunk commits — chunk (= user) order, the
@@ -67,32 +91,31 @@
 //! batch pipeline.
 
 use crate::ips::{CompletionStats, IpInfo, TrackerIpSet};
-use crate::pipeline::{geolocate_providers, StudyOutputs};
+use crate::pipeline::{geolocate_providers, EstimateMap, StudyOutputs};
 use crate::snapshots::SnapshotAccumulator;
 use crate::worldgen::{World, WorldConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::net::IpAddr;
-use std::path::PathBuf;
+use std::ops::Range;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 use xborder_browser::{
-    ExtensionDataset, LoggedRequest, Referrer, RequestId, SegmentBlock, StudyStream,
+    ExtensionDataset, LoggedRequest, Referrer, RequestId, SegmentBlock, StudyChunk, StudyCtx, User,
     UserPopulation, Visit, LABEL_ABP, LABEL_CLEAN, LABEL_SEMI,
 };
-use xborder_checkpoint::{
-    ByteReader, ByteWriter, CheckpointError, CheckpointStore, DecodeError,
-};
+use xborder_checkpoint::{ByteReader, ByteWriter, CheckpointError, CheckpointStore, DecodeError};
 use xborder_classify::{
-    generate_lists, Classification, ClassificationResult, ClassifierStages,
-    IncrementalClassifier,
+    generate_lists, Classification, ClassificationResult, ClassifierStages, FilterList,
+    IncrementalClassifier, MethodCounts,
 };
-use xborder_faults::{
-    stable_hash, DegradationReport, FaultInjector, FaultPlan, KillSwitch,
-};
+use xborder_faults::{stable_hash, DegradationReport, FaultInjector, FaultPlan, KillSwitch};
 use xborder_geo::Region;
 use xborder_netsim::time::{SimTime, TimeWindow};
+use xborder_netsim::Infrastructure;
 use xborder_webgraph::{Domain, SegmentError, SegmentStore, SegmentStoreConfig};
 
 /// How the streaming driver chunks and checkpoints.
@@ -140,11 +163,8 @@ impl StreamConfig {
     /// Durable streaming: checkpoint every chunk and stage into `dir`.
     pub fn durable(chunk_users: usize, dir: impl Into<PathBuf>) -> StreamConfig {
         StreamConfig {
-            chunk_users,
             checkpoint_dir: Some(dir.into()),
-            snapshot_windows: 0,
-            resident_segments: 0,
-            spill_dir: None,
+            ..StreamConfig::in_memory(chunk_users)
         }
     }
 
@@ -157,11 +177,7 @@ impl StreamConfig {
 
     /// Bounds resident memory: keep at most `window` committed segments
     /// in RAM, spilling older ones to `dir` (DESIGN.md §5j).
-    pub fn with_resident_window(
-        mut self,
-        window: usize,
-        dir: impl Into<PathBuf>,
-    ) -> StreamConfig {
+    pub fn with_resident_window(mut self, window: usize, dir: impl Into<PathBuf>) -> StreamConfig {
         self.resident_segments = window;
         self.spill_dir = Some(dir.into());
         self
@@ -182,6 +198,13 @@ pub enum StreamError {
     /// The checkpoint layer refused or failed (corrupt blob, version or
     /// seed mismatch, IO error).
     Checkpoint(CheckpointError),
+    /// The segment spill store failed (IO error, torn or missing spill
+    /// file). Spill files are disposable scratch, not checkpoint state:
+    /// the checkpoint directory is untouched and a rerun recomputes them.
+    Spill {
+        /// What failed, with the spill file involved.
+        detail: String,
+    },
 }
 
 impl fmt::Display for StreamError {
@@ -191,6 +214,7 @@ impl fmt::Display for StreamError {
                 write!(f, "streaming run killed at site {site} ({label})")
             }
             StreamError::Checkpoint(e) => write!(f, "checkpoint failure: {e}"),
+            StreamError::Spill { detail } => write!(f, "segment spill failure: {detail}"),
         }
     }
 }
@@ -206,31 +230,22 @@ impl From<CheckpointError> for StreamError {
     }
 }
 
-/// Fires a driver-level kill site, turning a hit into the typed error.
-pub(crate) fn killable(kill: &KillSwitch, label: &str) -> Result<(), StreamError> {
-    if kill.fire(label) {
-        let site = kill.fired().map(|(s, _)| s).unwrap_or_default();
-        return Err(StreamError::Killed { site, label: label.to_string() });
+impl From<SegmentError> for StreamError {
+    fn from(e: SegmentError) -> StreamError {
+        StreamError::Spill {
+            detail: e.to_string(),
+        }
     }
-    Ok(())
 }
 
-/// Emits every rolling snapshot whose window is fully covered now that
-/// `users_ingested` users are durable. Each emission is a kill site
-/// (`snapshot-{i}:emitted`): a crash immediately after publishing a
-/// snapshot is a scheduled scenario in the resume tests.
-fn emit_due_snapshots(
-    acc: &mut Option<SnapshotAccumulator>,
-    users_ingested: usize,
-    kill: &KillSwitch,
-    snapshot_ms: &mut f64,
-) -> Result<(), StreamError> {
-    let Some(acc) = acc.as_mut() else { return Ok(()) };
-    while acc.due(users_ingested) {
-        let t = Instant::now();
-        let i = acc.emit_next();
-        *snapshot_ms += t.elapsed().as_secs_f64() * 1e3;
-        killable(kill, &format!("snapshot-{i}:emitted"))?;
+/// Fires a driver-level kill site, turning a hit into the typed error.
+fn killable(kill: &KillSwitch, label: &str) -> Result<(), StreamError> {
+    if kill.fire(label) {
+        let site = kill.fired().map(|(s, _)| s).unwrap_or_default();
+        return Err(StreamError::Killed {
+            site,
+            label: label.to_string(),
+        });
     }
     Ok(())
 }
@@ -246,16 +261,15 @@ fn emit_due_snapshots(
 pub fn config_fingerprint(config: &WorldConfig, plan: &FaultPlan) -> Result<u64, StreamError> {
     let mut canonical = config.clone();
     canonical.parallelism = crate::par::Parallelism::sequential();
-    let cfg_json = serde_json::to_string(&canonical).map_err(|e| {
-        StreamError::Checkpoint(CheckpointError::ManifestInvalid {
-            detail: format!("world config does not serialize: {e}"),
+    let json = |r: Result<String, serde_json::Error>, what: &str| {
+        r.map_err(|e| {
+            StreamError::Checkpoint(CheckpointError::ManifestInvalid {
+                detail: format!("{what} does not serialize: {e}"),
+            })
         })
-    })?;
-    let plan_json = serde_json::to_string(plan).map_err(|e| {
-        StreamError::Checkpoint(CheckpointError::ManifestInvalid {
-            detail: format!("fault plan does not serialize: {e}"),
-        })
-    })?;
+    };
+    let cfg_json = json(serde_json::to_string(&canonical), "world config")?;
+    let plan_json = json(serde_json::to_string(plan), "fault plan")?;
     let mut h = stable_hash(cfg_json.as_bytes());
     h ^= stable_hash(plan_json.as_bytes()).rotate_left(17);
     Ok(h)
@@ -264,7 +278,7 @@ pub fn config_fingerprint(config: &WorldConfig, plan: &FaultPlan) -> Result<u64,
 /// Maps chunk labels onto the [`SegmentBlock`] tag bytes (the tag values
 /// are part of the checkpoint format; `xborder_browser::colog` documents
 /// them as matching this codec).
-pub(crate) fn labels_to_bytes(labels: &[Classification]) -> Vec<u8> {
+fn labels_to_bytes(labels: &[Classification]) -> Vec<u8> {
     labels
         .iter()
         .map(|l| match l {
@@ -277,10 +291,7 @@ pub(crate) fn labels_to_bytes(labels: &[Classification]) -> Vec<u8> {
 
 /// Reverses [`labels_to_bytes`]; an unknown tag is typed corruption (the
 /// bytes came from a spill file or checkpoint blob).
-pub(crate) fn labels_from_bytes(
-    file: &str,
-    bytes: &[u8],
-) -> Result<Vec<Classification>, StreamError> {
+fn labels_from_bytes(file: &str, bytes: &[u8]) -> Result<Vec<Classification>, StreamError> {
     bytes
         .iter()
         .map(|&b| match b {
@@ -298,20 +309,364 @@ pub(crate) fn labels_from_bytes(
         .collect()
 }
 
-/// Lifts segment-store failures into the stream's error space. Spill
-/// files are checkpoint-adjacent scratch state, so the checkpoint error
-/// vocabulary (IO, corruption, bookkeeping) maps exactly.
-pub(crate) fn seg_err(e: SegmentError) -> StreamError {
-    StreamError::Checkpoint(match e {
-        SegmentError::Io { path, op, source } => CheckpointError::Io {
-            path,
-            detail: format!("{op}: {source}"),
-        },
-        SegmentError::Corrupt { path, detail } => CheckpointError::Corrupt { path, detail },
-        SegmentError::Missing { index } => CheckpointError::ManifestInvalid {
-            detail: format!("segment {index} missing or already consumed"),
-        },
+// ---------------------------------------------------------------------------
+// The segment loop shared by the streaming and out-of-core drivers.
+// ---------------------------------------------------------------------------
+
+/// One committed segment as the loop hands it to a [`SegmentSink`]:
+/// replayed from a checkpoint or freshly ingested, always in user order.
+pub(crate) struct Segment<'a> {
+    /// The columnar block (the checkpointed form of the segment).
+    pub block: SegmentBlock,
+    /// The same rows in AoS form (referrers chunk-local, user ids global).
+    pub chunk: &'a StudyChunk,
+    /// Label tag bytes, parallel to `chunk.requests`.
+    pub labels: &'a [u8],
+    /// The users `block.user_start..block.user_end`.
+    pub users: &'a [User],
+    /// The world's server infrastructure (ground-truth geography).
+    pub infra: &'a Infrastructure,
+}
+
+/// What a driver does with each committed segment.
+pub(crate) trait SegmentSink {
+    /// Absorbs one segment. `kill` lets the sink fire its own kill sites
+    /// (the streaming sink's `snapshot-{i}:emitted`).
+    fn absorb(&mut self, seg: Segment<'_>, kill: &KillSwitch) -> Result<(), StreamError>;
+}
+
+/// The segment loop's inputs besides the world, fault plan and sink:
+/// where users come from, and how the run is segmented and checkpointed.
+pub(crate) struct SegmentInputs<'a> {
+    /// Population size.
+    pub n_users: usize,
+    /// The users of a range: a slice of a materialized population, or the
+    /// range regenerated from `(pop_seed, range)`.
+    pub users: &'a dyn Fn(Range<usize>) -> Cow<'a, [User]>,
+    /// Population-wide mean activity (never a per-segment figure; see
+    /// [`StudyCtx::new`]).
+    pub mean_activity: f64,
+    /// The study seed, drawn from the world RNG after the population.
+    pub study_seed: u64,
+    /// Users per segment (clamped to ≥ 1).
+    pub segment_users: usize,
+    /// Checkpoint directory; `None` disables durability.
+    pub checkpoint_dir: Option<&'a Path>,
+}
+
+/// What the segment loop distills from a run; the drivers package it.
+pub(crate) struct SegmentRun {
+    pub n_segments: usize,
+    pub easylist: FilterList,
+    pub easyprivacy: FilterList,
+    pub abp: MethodCounts,
+    pub semi: MethodCounts,
+    /// Stage-2 fixpoint rounds (max depth across segments + 1, the batch
+    /// figure).
+    pub stage2_rounds: usize,
+    pub stage3_rounds: usize,
+    pub tracker_ips: TrackerIpSet,
+    pub completion: CompletionStats,
+    pub ipmap_estimates: EstimateMap,
+    pub maxmind_estimates: EstimateMap,
+    pub ipapi_estimates: EstimateMap,
+}
+
+/// Runs the study as a sequence of user segments and everything after it
+/// up to geolocation — see the module docs. `rng` must be the world-RNG
+/// stream the driver drew its population and study seed from; it is left
+/// where the batch pipeline's geolocation expects it.
+///
+/// Timings: `study_ms` covers replay and ingest minus classification and
+/// the sink's own work; `classify_ms`, `completion_ms` and
+/// `geolocate_ms` are set here.
+pub(crate) fn run_segments<S: SegmentSink>(
+    world: &mut World,
+    rng: &mut StdRng,
+    plan: &FaultPlan,
+    inputs: SegmentInputs<'_>,
+    sink: &mut S,
+    kill: &KillSwitch,
+    report: &mut DegradationReport,
+) -> Result<SegmentRun, StreamError> {
+    let inj = FaultInjector::new(plan.clone());
+    let threads = world.config.parallelism.threads.max(1);
+    // Open (and validate) the checkpoint directory before burning any
+    // simulation time: a seed/version mismatch must refuse up front.
+    let fingerprint = config_fingerprint(&world.config, plan)?;
+    let mut store = match inputs.checkpoint_dir {
+        Some(dir) => Some(CheckpointStore::open(dir, fingerprint)?),
+        None => None,
+    };
+    let durable = store
+        .as_ref()
+        .map_or_else(Vec::new, |s| s.chunks().to_vec());
+    let n_users = inputs.n_users;
+    let segment_users = inputs.segment_users.max(1);
+
+    // Filter lists are a pure function of the web graph (no RNG); build
+    // them once for the delta-fixpoint classifier. Constructing the
+    // classifier compiles the rule engine (automaton, anchor buckets,
+    // prefilter), so the compile cost books under classify time — the
+    // batch path pays the same compile inside `classify_with_stages_threads`.
+    let (easylist, easyprivacy) = generate_lists(&world.graph);
+    let t_compile = Instant::now();
+    let mut classifier =
+        IncrementalClassifier::new(&easylist, &easyprivacy, ClassifierStages::default());
+    let mut classify_ms = t_compile.elapsed().as_secs_f64() * 1e3;
+
+    let mut tracker_ips = TrackerIpSet::default();
+    let (mut stage2_depth, mut stage3_rounds) = (0usize, 0usize);
+    let (mut pre_fault_offset, mut next_user, mut index) = (0u64, 0usize, 0usize);
+    let mut sink_ms = 0.0f64;
+    let t_study = Instant::now();
+    let cls_ms_before_study = classify_ms;
+    {
+        // The view over the world's DNS zones is read-only; the pDNS
+        // sensor is borrowed mutably alongside it (disjoint fields) so each
+        // committed chunk's observations absorb immediately, in chunk
+        // order. Each iteration's users and AoS chunk die before the next
+        // one starts.
+        let (view, pdns) = world.dns.indexed_view_and_pdns(world.graph.domains());
+        let ctx = StudyCtx::new(
+            &world.config.study,
+            &world.graph,
+            view,
+            inputs.study_seed,
+            inputs.mean_activity,
+        );
+        while index < durable.len() || next_user < n_users {
+            let (block, chunk, labels, (stage2, stage3), users) = match (durable.get(index), &store)
+            {
+                // Replay: every chunk the manifest says is durable is
+                // loaded and validated instead of simulated. The loader
+                // never writes — a corrupt chunk surfaces as a typed error
+                // with the directory untouched. Applying the classifier
+                // deltas in chunk order reconstructs the exact live
+                // classifier, so the resumed run continues without
+                // re-deriving it.
+                (Some(entry), Some(store)) => {
+                    let payload = store.load_chunk(entry)?;
+                    let (block, cls_bytes) = decode_chunk_payload(&entry.file, &payload)?;
+                    // Chunks must tile the population in order, each block
+                    // covering exactly the users its manifest entry names.
+                    let range = (block.user_start as u64, block.user_end as u64);
+                    if entry.user_start != next_user as u64
+                        || entry.user_end < entry.user_start
+                        || entry.user_end > n_users as u64
+                        || range != (entry.user_start, entry.user_end)
+                    {
+                        return Err(CheckpointError::ManifestInvalid {
+                            detail: format!(
+                                "chunk {} covers users {}..{} (block {}..{}) but {next_user} \
+                                 of {n_users} users are accounted for",
+                                entry.index, entry.user_start, entry.user_end, range.0, range.1,
+                            ),
+                        }
+                        .into());
+                    }
+                    let mut rd = ByteReader::new(cls_bytes);
+                    classifier
+                        .apply_delta(&mut rd, world.graph.domains())
+                        .map_err(|e| corrupt(&entry.file, e))?;
+                    rd.finish().map_err(|e| corrupt(&entry.file, e))?;
+                    let (chunk, labels, stage2, stage3) = block.to_chunk();
+                    let users = (inputs.users)(next_user..entry.user_end as usize);
+                    (block, chunk, labels, (stage2, stage3), users)
+                }
+                // Ingest the next chunk of users.
+                _ => {
+                    let end = (next_user + segment_users).min(n_users);
+                    killable(kill, &format!("chunk-{index}:begin"))?;
+                    let users = (inputs.users)(next_user..end);
+                    let chunk = ctx.simulate_users(&users, &inj, threads, pre_fault_offset);
+                    // Delta-fixpoint classification: only this chunk's
+                    // frontier is walked; interner/memo/count state
+                    // persists across chunks. Sequential absorption is
+                    // label- and count-identical to the batch pass (and
+                    // trivially thread-invariant).
+                    let t_cls = Instant::now();
+                    let cls = classifier.append_chunk(&chunk.requests, world.graph.domains());
+                    classify_ms += t_cls.elapsed().as_secs_f64() * 1e3;
+                    let labels = labels_to_bytes(&cls.labels);
+                    let rounds = (cls.stage2_rounds as u32, cls.stage3_rounds as u32);
+                    let block = SegmentBlock::from_chunk(
+                        &chunk,
+                        &labels,
+                        rounds.0,
+                        rounds.1,
+                        (next_user as u32, end as u32),
+                    );
+                    if let Some(store) = &mut store {
+                        let payload = encode_chunk_payload(&block, &mut classifier);
+                        store.append_chunk(
+                            index as u64,
+                            next_user as u64,
+                            end as u64,
+                            &payload,
+                            kill,
+                        )?;
+                    }
+                    killable(kill, &format!("chunk-{index}:committed"))?;
+                    (block, chunk, labels, rounds, users)
+                }
+            };
+            // The committed segment's side effects, in chunk (= user)
+            // order, identical for replayed and ingested chunks.
+            for o in &chunk.observations {
+                pdns.observe(world.graph.domains().domain(o.host), o.ip, o.time);
+            }
+            report.absorb_counters(&chunk.report);
+            // Chunk propagation rounds are BFS depths over chunk-disjoint
+            // component sets, so the batch depth is the max across chunks.
+            stage2_depth = stage2_depth.max((stage2 as usize).saturating_sub(1));
+            stage3_rounds = stage3_rounds.max(stage3 as usize);
+            for (r, &label) in chunk.requests.iter().zip(&labels) {
+                if label != LABEL_CLEAN {
+                    let host = world.graph.domains().domain(r.host);
+                    tracker_ips.absorb_tracking_request(r.ip, host, r.time);
+                }
+            }
+            pre_fault_offset += chunk.report.requests_generated;
+            next_user = block.user_end as usize;
+            index += 1;
+            let seg = Segment {
+                block,
+                chunk: &chunk,
+                labels: &labels,
+                users: &users,
+                infra: &world.infra,
+            };
+            let t_sink = Instant::now();
+            sink.absorb(seg, kill)?;
+            sink_ms += t_sink.elapsed().as_secs_f64() * 1e3;
+        }
+    }
+    killable(kill, "stage:study:done")?;
+    report.timings.study_ms =
+        t_study.elapsed().as_secs_f64() * 1e3 - (classify_ms - cls_ms_before_study) - sink_ms;
+
+    // Table-2 distinct counts absorbed chunk by chunk through the
+    // classifier's persistent seen-bits — no full-log recount. The
+    // running totals equal `classify`'s over the concatenated log
+    // (pinned in the classify crate's incremental tests). Nothing after
+    // this reads the classifier, so its state is freed before completion
+    // and geolocation allocate.
+    let (abp, semi) = classifier.counts();
+    drop(classifier);
+    report.timings.classify_ms = classify_ms;
+    killable(kill, "stage:classify:done")?;
+
+    // pDNS completion of the folded tracker set — the stage-boundary
+    // checkpoint. A resume that already has the completion blob loads it
+    // (with its counter delta) instead of recomputing; both paths are
+    // bit-identical because completion is a deterministic function of
+    // (labels, pDNS).
+    let t_stage = Instant::now();
+    let durable_completion = match &store {
+        Some(s) => s.load_stage("completion")?,
+        None => None,
+    };
+    let completion = match durable_completion {
+        Some(payload) => {
+            let (ips, stats, delta) = decode_completion_state(&payload)?;
+            report.absorb_counters(&delta);
+            tracker_ips = ips;
+            stats
+        }
+        None => {
+            let mut delta = DegradationReport::default();
+            let stats = tracker_ips.complete_with_pdns_degraded(world.dns.pdns(), &inj, &mut delta);
+            report.absorb_counters(&delta);
+            if let Some(store) = &mut store {
+                let payload = encode_completion_state(&tracker_ips, &stats, &delta);
+                store.put_stage("completion", &payload, kill)?;
+            }
+            stats
+        }
+    };
+    report.timings.completion_ms = t_stage.elapsed().as_secs_f64() * 1e3;
+    killable(kill, "stage:completion:done")?;
+
+    // Geolocation — shared verbatim with the batch pipeline. Nothing
+    // after this point is checkpointed: a crash here re-runs geolocation
+    // deterministically from the durable completion state.
+    let t_stage = Instant::now();
+    let (ipmap_estimates, maxmind_estimates, ipapi_estimates) =
+        geolocate_providers(world, rng, &tracker_ips, &inj, report, threads);
+    report.timings.geolocate_ms = t_stage.elapsed().as_secs_f64() * 1e3;
+    killable(kill, "stage:geolocate:done")?;
+
+    Ok(SegmentRun {
+        n_segments: index,
+        easylist,
+        easyprivacy,
+        abp,
+        semi,
+        stage2_rounds: 1 + stage2_depth,
+        stage3_rounds,
+        tracker_ips,
+        completion,
+        ipmap_estimates,
+        maxmind_estimates,
+        ipapi_estimates,
     })
+}
+
+// ---------------------------------------------------------------------------
+// The streaming driver.
+// ---------------------------------------------------------------------------
+
+/// The streaming driver's sink: keeps every committed segment in a
+/// [`SegmentStore`] for the final dataset and feeds the rolling snapshots.
+struct DatasetSink {
+    segments: SegmentStore<SegmentBlock>,
+    segment_io_ms: f64,
+    snapshots: Option<SnapshotAccumulator>,
+    snapshot_ms: f64,
+}
+
+impl DatasetSink {
+    /// Emits every rolling snapshot whose window is fully covered now that
+    /// `users_ingested` users are durable. Each emission is a kill site
+    /// (`snapshot-{i}:emitted`): a crash immediately after publishing a
+    /// snapshot is a scheduled scenario in the resume tests.
+    fn emit_due_snapshots(
+        &mut self,
+        users_ingested: usize,
+        kill: &KillSwitch,
+    ) -> Result<(), StreamError> {
+        let Some(acc) = self.snapshots.as_mut() else {
+            return Ok(());
+        };
+        while acc.due(users_ingested) {
+            let t = Instant::now();
+            let i = acc.emit_next();
+            self.snapshot_ms += t.elapsed().as_secs_f64() * 1e3;
+            killable(kill, &format!("snapshot-{i}:emitted"))?;
+        }
+        Ok(())
+    }
+}
+
+impl SegmentSink for DatasetSink {
+    fn absorb(&mut self, seg: Segment<'_>, kill: &KillSwitch) -> Result<(), StreamError> {
+        let users_ingested = seg.block.user_end as usize;
+        if let Some(acc) = &mut self.snapshots {
+            let t = Instant::now();
+            acc.absorb_chunk(
+                &seg.chunk.visits,
+                &seg.chunk.requests,
+                seg.labels,
+                seg.infra,
+            );
+            self.snapshot_ms += t.elapsed().as_secs_f64() * 1e3;
+        }
+        let t = Instant::now();
+        self.segments.push(seg.block)?;
+        self.segment_io_ms += t.elapsed().as_secs_f64() * 1e3;
+        self.emit_due_snapshots(users_ingested, kill)
+    }
 }
 
 /// Runs the extension pipeline as checkpointed streaming ingestion.
@@ -328,18 +683,8 @@ pub fn run_extension_pipeline_streaming(
     stream_cfg: &StreamConfig,
     kill: &KillSwitch,
 ) -> Result<(StudyOutputs, DegradationReport), StreamError> {
-    let inj = FaultInjector::new(plan.clone());
     let mut report = DegradationReport::default();
-    let threads = world.config.parallelism.threads.max(1);
     let t_total = Instant::now();
-
-    // Open (and validate) the checkpoint directory before burning any
-    // simulation time: a seed/version mismatch must refuse up front.
-    let fingerprint = config_fingerprint(&world.config, plan)?;
-    let mut store = match &stream_cfg.checkpoint_dir {
-        Some(dir) => Some(CheckpointStore::open(dir, fingerprint)?),
-        None => None,
-    };
 
     // World-RNG draws mirror the batch pipeline exactly: one study-stream
     // draw, then population generation, then the study seed. Resume runs
@@ -348,27 +693,6 @@ pub fn run_extension_pipeline_streaming(
     let mut rng = StdRng::seed_from_u64(world.study_rng.gen());
     let population = UserPopulation::generate(&world.config.study.population, &mut rng);
     let study_seed: u64 = rng.gen();
-    let n_users = population.users.len();
-    let chunk_users = stream_cfg.chunk_users.max(1);
-
-    // Filter lists are a pure function of the web graph (no RNG); build
-    // them once for the delta-fixpoint classifier. Constructing the
-    // classifier compiles the rule engine (automaton, anchor buckets,
-    // prefilter), so the compile cost books under classify time — the
-    // batch path pays the same compile inside `classify_with_stages_threads`.
-    let (easylist, easyprivacy) = generate_lists(&world.graph);
-    let stages = ClassifierStages::default();
-    let t_compile = Instant::now();
-    let mut classifier = IncrementalClassifier::new(&easylist, &easyprivacy, stages);
-    let mut classify_ms = t_compile.elapsed().as_secs_f64() * 1e3;
-    let mut snap_acc = (stream_cfg.snapshot_windows > 0).then(|| {
-        SnapshotAccumulator::new(
-            world.config.study.window,
-            &population,
-            stream_cfg.snapshot_windows,
-        )
-    });
-    let mut snapshot_ms = 0.0f64;
 
     // Committed segments live in a bounded-residency store: columnar
     // blocks, FIFO-evicted to disposable spill files once the resident
@@ -378,146 +702,54 @@ pub fn run_extension_pipeline_streaming(
         (Some(dir), window) if window > 0 => SegmentStoreConfig::bounded(window, dir.clone()),
         _ => SegmentStoreConfig::unbounded(),
     };
-    let mut segments: SegmentStore<SegmentBlock> = SegmentStore::new(seg_cfg);
-    let mut segment_io_ms = 0.0f64;
-    let mut pre_fault_offset: u64 = 0;
-    let mut next_user = 0usize;
-
-    // Replay: every chunk the manifest says is durable is loaded and
-    // validated instead of simulated. The loader never writes — a corrupt
-    // chunk surfaces as a typed error with the directory untouched. Side
-    // effects (pDNS absorption, snapshot accumulation) re-apply in chunk
-    // order, and so do the classifier state deltas: applying them in
-    // order reconstructs the exact live classifier, so the resumed run
-    // continues without re-deriving it.
-    if let Some(store) = &store {
-        for entry in store.chunks().to_vec() {
-            if entry.user_start != next_user as u64
-                || entry.user_end < entry.user_start
-                || entry.user_end > n_users as u64
-            {
-                return Err(CheckpointError::ManifestInvalid {
-                    detail: format!(
-                        "chunk {} covers users {}..{} but {} of {} users are accounted for",
-                        entry.index, entry.user_start, entry.user_end, next_user, n_users
-                    ),
-                }
-                .into());
-            }
-            let payload = store.load_chunk(&entry)?;
-            let (block, cls_bytes) = decode_chunk_payload(&entry.file, &payload)?;
-            let mut rd = ByteReader::new(cls_bytes);
-            classifier
-                .apply_delta(&mut rd, world.graph.domains())
-                .map_err(|e| corrupt(&entry.file, e))?;
-            rd.finish().map_err(|e| corrupt(&entry.file, e))?;
-            let observations = block.observations_vec();
-            world
-                .dns
-                .absorb_id_observations(&observations, world.graph.domains());
-            if let Some(acc) = &mut snap_acc {
-                // Snapshots absorb AoS rows; materialize this segment once.
-                let (chunk, label_bytes, _, _) = block.to_chunk();
-                let labels = labels_from_bytes(&entry.file, &label_bytes)?;
-                let t = Instant::now();
-                acc.absorb_chunk(&chunk.visits, &chunk.requests, &labels, &world.infra);
-                snapshot_ms += t.elapsed().as_secs_f64() * 1e3;
-            }
-            pre_fault_offset += block.counters().requests_generated;
-            next_user = entry.user_end as usize;
-            let t_seg = Instant::now();
-            segments.push(block).map_err(seg_err)?;
-            segment_io_ms += t_seg.elapsed().as_secs_f64() * 1e3;
-            emit_due_snapshots(&mut snap_acc, next_user, kill, &mut snapshot_ms)?;
-        }
-    }
-
-    // Ingest the remaining users chunk by chunk. The view over the
-    // world's DNS zones is read-only; the pDNS sensor is borrowed
-    // mutably alongside it (disjoint fields) so each committed chunk's
-    // buffered observations absorb immediately, in chunk order.
-    let t_ingest = Instant::now();
-    let snap_ms_before_ingest = snapshot_ms;
-    let cls_ms_before_ingest = classify_ms;
-    let seg_ms_before_ingest = segment_io_ms;
-    let users = {
-        let (view, pdns) = world.dns.indexed_view_and_pdns(world.graph.domains());
-        let stream = StudyStream::with_view(
-            &world.config.study,
-            &world.graph,
-            view,
-            population,
-            study_seed,
-        );
-        let mut index = segments.len() as u64;
-        while next_user < n_users {
-            let end = (next_user + chunk_users).min(n_users);
-            killable(kill, &format!("chunk-{index}:begin"))?;
-            let chunk = stream.simulate_chunk(next_user..end, &inj, threads, pre_fault_offset);
-            // Delta-fixpoint classification: only this chunk's frontier is
-            // walked; interner/memo/count state persists across chunks.
-            // Sequential absorption is label- and count-identical to the
-            // batch pass (and trivially thread-invariant).
-            let t_cls = Instant::now();
-            let cls = classifier.append_chunk(&chunk.requests, world.graph.domains());
-            classify_ms += t_cls.elapsed().as_secs_f64() * 1e3;
-            // The AoS chunk condenses into its columnar twin; the AoS form
-            // dies with this iteration, so resident memory during ingest
-            // is one live chunk plus the store's resident window.
-            let block = SegmentBlock::from_chunk(
-                &chunk,
-                &labels_to_bytes(&cls.labels),
-                cls.stage2_rounds as u32,
-                cls.stage3_rounds as u32,
-                (next_user as u32, end as u32),
-            );
-            if let Some(store) = &mut store {
-                let payload = encode_chunk_payload(&block, &mut classifier);
-                store.append_chunk(index, next_user as u64, end as u64, &payload, kill)?;
-            }
-            killable(kill, &format!("chunk-{index}:committed"))?;
-            for o in &chunk.observations {
-                pdns.observe(world.graph.domains().domain(o.host), o.ip, o.time);
-            }
-            if let Some(acc) = &mut snap_acc {
-                let t = Instant::now();
-                acc.absorb_chunk(&chunk.visits, &chunk.requests, &cls.labels, &world.infra);
-                snapshot_ms += t.elapsed().as_secs_f64() * 1e3;
-            }
-            pre_fault_offset += chunk.report.requests_generated;
-            let t_seg = Instant::now();
-            segments.push(block).map_err(seg_err)?;
-            segment_io_ms += t_seg.elapsed().as_secs_f64() * 1e3;
-            next_user = end;
-            emit_due_snapshots(&mut snap_acc, next_user, kill, &mut snapshot_ms)?;
-            index += 1;
-        }
-        stream.into_users()
+    let mut sink = DatasetSink {
+        segments: SegmentStore::new(seg_cfg),
+        segment_io_ms: 0.0,
+        snapshots: (stream_cfg.snapshot_windows > 0).then(|| {
+            SnapshotAccumulator::new(
+                world.config.study.window,
+                &population,
+                stream_cfg.snapshot_windows,
+            )
+        }),
+        snapshot_ms: 0.0,
     };
-    // Degenerate streams (zero users) never enter the loop; drain any
-    // windows whose coverage is trivially complete.
-    emit_due_snapshots(&mut snap_acc, next_user, kill, &mut snapshot_ms)?;
-    killable(kill, "stage:study:done")?;
+    // A zero-user stream commits no segment, and every snapshot window
+    // is trivially covered from the start.
+    if population.users.is_empty() {
+        sink.emit_due_snapshots(0, kill)?;
+    }
+    let run = run_segments(
+        world,
+        &mut rng,
+        plan,
+        SegmentInputs {
+            n_users: population.users.len(),
+            users: &|range| Cow::Borrowed(&population.users[range]),
+            mean_activity: population.mean_activity(),
+            study_seed,
+            segment_users: stream_cfg.chunk_users,
+            checkpoint_dir: stream_cfg.checkpoint_dir.as_deref(),
+        },
+        &mut sink,
+        kill,
+        &mut report,
+    )?;
 
     // Finalize the study: reassemble the global log in chunk (= user)
-    // order, exactly the batch merge. pDNS observations were already
-    // absorbed as each chunk committed (or replayed), so finalization is
-    // pure concatenation.
+    // order, exactly the batch merge. Spilled segments reload from disk
+    // one at a time, and their spill files are gone once taken.
+    let t_finalize = Instant::now();
+    let io_ms_before_finalize = sink.segment_io_ms;
     let mut visits: Vec<Visit> = Vec::new();
     let mut requests: Vec<LoggedRequest> = Vec::new();
     let mut labels: Vec<Classification> = Vec::new();
-    let mut stage2_depth = 0usize;
-    let mut stage3_rounds = 0usize;
-    for i in 0..segments.len() {
-        // Consume segments in append (= user) order; spilled ones reload
-        // from disk here, one at a time, and their spill files are gone
-        // once taken.
+    for i in 0..sink.segments.len() {
         let t_seg = Instant::now();
-        let block = segments.take(i).map_err(seg_err)?;
-        segment_io_ms += t_seg.elapsed().as_secs_f64() * 1e3;
-        let (chunk, label_bytes, seg_stage2, seg_stage3) = block.to_chunk();
+        let block = sink.segments.take(i)?;
+        sink.segment_io_ms += t_seg.elapsed().as_secs_f64() * 1e3;
+        let (chunk, label_bytes, _, _) = block.to_chunk();
         labels.extend(labels_from_bytes(&format!("segment-{i:05}"), &label_bytes)?);
-        report.absorb_counters(&chunk.report);
         let offset = requests.len() as u32;
         visits.extend(chunk.visits);
         requests.extend(chunk.requests.into_iter().map(|mut r| {
@@ -526,105 +758,49 @@ pub fn run_extension_pipeline_streaming(
             }
             r
         }));
-        // Chunk propagation rounds are BFS depths over chunk-disjoint
-        // component sets, so the batch depth is the max across chunks.
-        stage2_depth = stage2_depth.max((seg_stage2 as usize).saturating_sub(1));
-        stage3_rounds = stage3_rounds.max(seg_stage3 as usize);
     }
-    // Segment-store telemetry: deterministic under the contract, but a
-    // function of the segment-size/window knobs — reported as timings,
-    // outside report equality (DESIGN.md §5j).
-    let seg_stats = segments.stats();
-    report.timings.peak_resident_bytes = seg_stats.peak_resident_bytes;
-    report.timings.segments_spilled = seg_stats.segments_spilled;
-    report.timings.segments_reloaded = seg_stats.segments_reloaded;
-    report.timings.segment_io_ms = segment_io_ms;
     // Same stable timestamp sort as the batch driver (the pre-sort order —
     // user-major, generation order within a user — is identical).
     visits.sort_by_key(|v| v.time);
     let dataset = ExtensionDataset {
-        users,
+        users: population,
         visits,
         requests,
         domains: world.graph.domains().clone(),
     };
-    report.timings.study_ms = t_ingest.elapsed().as_secs_f64() * 1e3
-        - (classify_ms - cls_ms_before_ingest)
-        - (snapshot_ms - snap_ms_before_ingest)
-        - (segment_io_ms - seg_ms_before_ingest);
+    // Segment-store telemetry: deterministic under the contract, but a
+    // function of the segment-size/window knobs — reported as timings,
+    // outside report equality (DESIGN.md §5j).
+    let seg_stats = sink.segments.stats();
+    report.timings.peak_resident_bytes = seg_stats.peak_resident_bytes;
+    report.timings.segments_spilled = seg_stats.segments_spilled;
+    report.timings.segments_reloaded = seg_stats.segments_reloaded;
+    report.timings.segment_io_ms = sink.segment_io_ms;
+    report.timings.snapshot_ms = sink.snapshot_ms;
+    report.timings.study_ms +=
+        t_finalize.elapsed().as_secs_f64() * 1e3 - (sink.segment_io_ms - io_ms_before_finalize);
 
-    // Table-2 distinct counts absorbed chunk by chunk through the
-    // classifier's persistent seen-bits — no full-log recount. The
-    // running totals equal `classify`'s over the concatenated log
-    // (pinned in the classify crate's incremental tests).
-    let (abp, semi) = classifier.counts();
-    let stage2_rounds = 1 + stage2_depth;
-    let classification = ClassificationResult {
-        labels,
-        abp,
-        semi,
-        propagation_rounds: stage2_rounds + stage3_rounds,
-        stage2_rounds,
-        stage3_rounds,
-    };
-    report.timings.classify_ms = classify_ms;
-    report.timings.snapshot_ms = snapshot_ms;
-    killable(kill, "stage:classify:done")?;
-
-    // Tracker IP set + pDNS completion — the stage-boundary checkpoint. A
-    // resume that already has the completion blob loads it (with its
-    // counter delta) instead of recomputing; both paths are bit-identical
-    // because completion is a deterministic function of (labels, pDNS).
-    let t_stage = Instant::now();
-    let durable_completion = match &store {
-        Some(s) => s.load_stage("completion")?,
-        None => None,
-    };
-    let (tracker_ips, completion) = match durable_completion {
-        Some(payload) => {
-            let (ips, stats, delta) = decode_completion_state(&payload)?;
-            report.absorb_counters(&delta);
-            (ips, stats)
-        }
-        None => {
-            let mut tracker_ips = TrackerIpSet::from_dataset(&dataset, &classification);
-            let mut delta = DegradationReport::default();
-            let stats =
-                tracker_ips.complete_with_pdns_degraded(world.dns.pdns(), &inj, &mut delta);
-            report.absorb_counters(&delta);
-            if let Some(store) = &mut store {
-                let payload = encode_completion_state(&tracker_ips, &stats, &delta);
-                store.put_stage("completion", &payload, kill)?;
-            }
-            (tracker_ips, stats)
-        }
-    };
-    report.timings.completion_ms = t_stage.elapsed().as_secs_f64() * 1e3;
-    killable(kill, "stage:completion:done")?;
-
-    // Geolocation — shared verbatim with the batch pipeline. Nothing
-    // after this point is checkpointed: a crash here re-runs geolocation
-    // deterministically from the durable completion state.
-    let t_stage = Instant::now();
-    let (ipmap_estimates, maxmind_estimates, ipapi_estimates) =
-        geolocate_providers(world, &mut rng, &tracker_ips, &inj, &mut report, threads);
-    report.timings.geolocate_ms = t_stage.elapsed().as_secs_f64() * 1e3;
-    killable(kill, "stage:geolocate:done")?;
-
-    // The classifier borrows the filter lists; it is fully consumed
-    // (labels emitted, counts read) before the lists move into the output.
-    drop(classifier);
     let out = StudyOutputs {
         dataset,
-        classification,
-        easylist,
-        easyprivacy,
-        tracker_ips,
-        completion,
-        ipmap_estimates,
-        maxmind_estimates,
-        ipapi_estimates,
-        snapshots: snap_acc.map(SnapshotAccumulator::into_snapshots).unwrap_or_default(),
+        classification: ClassificationResult {
+            labels,
+            abp: run.abp,
+            semi: run.semi,
+            propagation_rounds: run.stage2_rounds + run.stage3_rounds,
+            stage2_rounds: run.stage2_rounds,
+            stage3_rounds: run.stage3_rounds,
+        },
+        easylist: run.easylist,
+        easyprivacy: run.easyprivacy,
+        tracker_ips: run.tracker_ips,
+        completion: run.completion,
+        ipmap_estimates: run.ipmap_estimates,
+        maxmind_estimates: run.maxmind_estimates,
+        ipapi_estimates: run.ipapi_estimates,
+        snapshots: sink
+            .snapshots
+            .map(SnapshotAccumulator::into_snapshots)
+            .unwrap_or_default(),
     };
     report.eu28_confinement =
         crate::confine::region_breakdown_eu28(&out, &out.ipmap_estimates).share(Region::Eu28);
@@ -638,14 +814,14 @@ pub fn run_extension_pipeline_streaming(
 // stored as IEEE-754 bit patterns, so round trips are bit-exact.
 // ---------------------------------------------------------------------------
 
-pub(crate) fn corrupt(file: &str, e: DecodeError) -> StreamError {
+fn corrupt(file: &str, e: DecodeError) -> StreamError {
     StreamError::Checkpoint(CheckpointError::Corrupt {
         path: PathBuf::from(file),
         detail: e.to_string(),
     })
 }
 
-fn put_ip(w: &mut ByteWriter, ip: IpAddr) {
+pub(crate) fn put_ip(w: &mut ByteWriter, ip: IpAddr) {
     match ip {
         IpAddr::V4(v4) => {
             w.put_u8(4);
@@ -700,10 +876,7 @@ fn read_counters(rd: &mut ByteReader<'_>) -> Result<DegradationReport, DecodeErr
 /// Encoding advances the classifier's delta baseline (the only caller
 /// encodes each chunk exactly once, in order); replay applies every
 /// durable chunk's delta in the same order to reconstruct the state.
-pub(crate) fn encode_chunk_payload(
-    block: &SegmentBlock,
-    classifier: &mut IncrementalClassifier,
-) -> Vec<u8> {
+fn encode_chunk_payload(block: &SegmentBlock, classifier: &mut IncrementalClassifier) -> Vec<u8> {
     let mut cw = ByteWriter::new();
     classifier.encode_delta(&mut cw);
     let cls = cw.into_bytes();
@@ -716,7 +889,7 @@ pub(crate) fn encode_chunk_payload(
 
 /// Splits a chunk payload into its decoded segment block and the raw bytes
 /// of the classifier delta section (applied by the replay loop).
-pub(crate) fn decode_chunk_payload<'p>(
+fn decode_chunk_payload<'p>(
     file: &str,
     payload: &'p [u8],
 ) -> Result<(SegmentBlock, &'p [u8]), StreamError> {
@@ -725,36 +898,32 @@ pub(crate) fn decode_chunk_payload<'p>(
     let cls = rd.blob().map_err(|e| corrupt(file, e))?;
     rd.finish().map_err(|e| corrupt(file, e))?;
     let block = SegmentBlock::decode_bytes(seg).map_err(|e| corrupt(file, e))?;
-    // Durable chunks are always classified: one label byte per request.
-    if block.labels().len() != block.n_requests() {
-        return Err(corrupt(
-            file,
-            DecodeError {
-                offset: 0,
-                detail: format!(
-                    "label count {} does not match request count {}",
-                    block.labels().len(),
-                    block.n_requests()
-                ),
-            },
-        ));
-    }
-    Ok((block, cls))
+    // Durable chunks are always classified (one label byte per request),
+    // and every request row belongs to one of the block's users — the
+    // sinks index the segment's users by it.
+    let (n, users) = (block.n_requests(), block.user_start..block.user_end);
+    let detail = if block.labels().len() != n {
+        format!(
+            "label count {} does not match request count {n}",
+            block.labels().len()
+        )
+    } else if let Some(i) = (0..n).find(|&i| !users.contains(&block.request_user(i))) {
+        format!("request {i} names a user outside {users:?}")
+    } else {
+        return Ok((block, cls));
+    };
+    Err(corrupt(file, DecodeError { offset: 0, detail }))
 }
 
-pub(crate) fn encode_completion_state(
-    ips: &TrackerIpSet,
-    stats: &CompletionStats,
-    delta: &DegradationReport,
-) -> Vec<u8> {
-    let mut w = ByteWriter::with_capacity(64 + ips.len() * 48);
-    // Canonical order: sorted by IP, hosts sorted within each record. The
-    // in-memory maps hash-order freely; the blob does not.
+/// Writes a tracker set in canonical order: sorted by IP, hosts sorted
+/// within each record. The in-memory maps hash-order freely; the bytes
+/// (completion blob, worldscale fingerprint) do not.
+pub(crate) fn put_tracker_ips(w: &mut ByteWriter, ips: &TrackerIpSet) {
     let mut sorted: Vec<(&IpAddr, &IpInfo)> = ips.ips.iter().collect();
     sorted.sort_by_key(|(ip, _)| **ip);
     w.put_usize(sorted.len());
     for (ip, info) in sorted {
-        put_ip(&mut w, *ip);
+        put_ip(w, *ip);
         w.put_u64(info.requests);
         let mut hosts: Vec<&str> = info.hosts.iter().map(|h| h.as_str()).collect();
         hosts.sort_unstable();
@@ -766,6 +935,15 @@ pub(crate) fn encode_completion_state(
         w.put_u64(info.window.end.0);
         w.put_u8(info.from_pdns_only as u8);
     }
+}
+
+fn encode_completion_state(
+    ips: &TrackerIpSet,
+    stats: &CompletionStats,
+    delta: &DegradationReport,
+) -> Vec<u8> {
+    let mut w = ByteWriter::with_capacity(64 + ips.len() * 48);
+    put_tracker_ips(&mut w, ips);
     w.put_usize(stats.n_observed);
     w.put_usize(stats.n_added);
     w.put_f64(stats.v4_share);
@@ -774,7 +952,7 @@ pub(crate) fn encode_completion_state(
     w.into_bytes()
 }
 
-pub(crate) fn decode_completion_state(
+fn decode_completion_state(
     payload: &[u8],
 ) -> Result<(TrackerIpSet, CompletionStats, DegradationReport), StreamError> {
     const FILE: &str = "stage-completion.xbc";
@@ -822,7 +1000,7 @@ pub(crate) fn decode_completion_state(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xborder_browser::{StudyChunk, UserId};
+    use xborder_browser::UserId;
     use xborder_dns::PdnsIdObservation;
     use xborder_webgraph::{DomainId, PublisherId};
 
@@ -939,6 +1117,23 @@ mod tests {
             err,
             StreamError::Checkpoint(CheckpointError::Corrupt { .. })
         ));
+    }
+
+    #[test]
+    fn request_user_outside_the_block_is_rejected() {
+        // Worldscale indexes a segment's users by each request's user id;
+        // a block whose rows name users outside its range is corrupt.
+        let (chunk, labels, _, _) = sample_block().to_chunk();
+        let narrow = SegmentBlock::from_chunk(&chunk, &labels, 1, 0, (0, 1));
+        let mut w = ByteWriter::new();
+        w.put_blob(&narrow.encode_bytes());
+        w.put_blob(&[]);
+        let err = decode_chunk_payload("chunk-00000.xbc", &w.into_bytes()).unwrap_err();
+        assert!(
+            matches!(&err, StreamError::Checkpoint(CheckpointError::Corrupt { detail, .. })
+                if detail.contains("outside")),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -1,78 +1,74 @@
 //! Million-user worlds: the out-of-core extension pipeline (DESIGN.md §5j).
 //!
-//! [`crate::stream`] bounds the resident *study log* but still
-//! materializes the full population up front and reassembles the full
-//! [`xborder_browser::ExtensionDataset`] at finalization — both `O(world)`
-//! allocations that cap it near 10⁵ users. This module is the driver for
-//! [`crate::worldgen::WorldConfig::large`] worlds: the population is never
-//! materialized (segments of users regenerate on demand from
-//! `(pop_seed, user_range)`), committed segments live as columnar
-//! [`SegmentBlock`]s in a bounded-residency [`SegmentStore`], and every
-//! downstream analysis folds segment by segment into constant-size
-//! aggregates instead of touching a concatenated log. Resident memory is
-//! `O(segment_users × resident_segments)` plus the classifier's interned
-//! state — never `O(n_users)`.
+//! [`crate::stream`] materializes the full population up front and
+//! reassembles the full [`xborder_browser::ExtensionDataset`] at
+//! finalization — both `O(world)` allocations. This module is the driver
+//! for [`crate::worldgen::WorldConfig::large`] worlds. It runs the same
+//! segment loop as the streaming driver (replay, ingest, checkpoint,
+//! completion, geolocation), but the population is never materialized
+//! (each segment's users regenerate from `(pop_seed, user_range)`) and no
+//! segment is kept: its sink folds every committed segment into
+//! constant-size aggregates, then drops it. That includes EU28
+//! confinement: tracking flows from EU28 users are counted per server IP
+//! during ingest and resolved against the IPmap estimates once
+//! geolocation has run, so there is no second pass over the log.
+//!
+//! Memory is one segment of simulation plus the fold state plus the
+//! incremental classifier's interned state. The classifier state still
+//! grows with the number of distinct URLs in the world, so process memory
+//! is not yet bounded by the segment size.
 //!
 //! ## The determinism contract, unchanged
 //!
-//! Segment size, resident window, thread budget, kill schedule and
-//! checkpointing remain pure performance/availability knobs. The
-//! mechanisms are the streaming driver's (per-user RNG streams,
-//! offset-keyed log faults, delta-fixpoint classification), plus two
+//! Segment size, thread budget, kill schedule and checkpointing remain
+//! pure performance/availability knobs. The mechanisms are the streaming
+//! driver's (per-user RNG streams, offset-keyed log faults, delta-fixpoint
+//! classification, the commutative tracker-set fold), plus two
 //! aggregate-level rules that make segmentation invisible in the folded
 //! outputs:
 //!
 //! * **Commutative folds stay commutative.** The visit digest XORs
 //!   per-visit hashes, so the batch driver's final timestamp sort cannot
-//!   show; dataset stats fold through bitsets (users never span segments,
-//!   so distinct counts are unions of segment-local sets); the tracker IP
-//!   set folds through [`TrackerIpSet::absorb_tracking_request`].
+//!   show; dataset stats fold through seen-flags (users never span
+//!   segments, so distinct counts are unions of segment-local sets); EU28
+//!   flows are per-IP counts.
 //! * **Order-sensitive folds key on global coordinates.** The request
 //!   digest chains in global log order and rebases cascade referrers to
 //!   the *global* row index before hashing — a segment-local index would
 //!   make the segment size observable.
 //!
 //! `tests/worldscale.rs` pins [`ScaleOutputs::fingerprint`] across segment
-//! sizes × resident windows × thread budgets × kill schedules, and pins
-//! every aggregate against the materialized batch pipeline on a shared
+//! sizes × thread budgets × fault plans × kill schedules, and pins every
+//! aggregate against the materialized batch pipeline on a shared
 //! segmented config.
 
-use crate::confine::DestBreakdown;
-use crate::ips::{CompletionStats, IpInfo, TrackerIpSet};
-use crate::pipeline::{geolocate_providers, EstimateMap};
+use crate::confine::{is_eu28, DestBreakdown};
+use crate::ips::{CompletionStats, TrackerIpSet};
+use crate::pipeline::EstimateMap;
 use crate::stream::{
-    config_fingerprint, corrupt, decode_chunk_payload, decode_completion_state,
-    encode_chunk_payload, encode_completion_state, killable, labels_to_bytes, seg_err,
-    StreamError,
+    put_ip, put_tracker_ips, run_segments, Segment, SegmentInputs, SegmentSink, StreamError,
 };
 use crate::worldgen::World;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::borrow::Cow;
+use std::collections::HashMap;
 use std::net::IpAddr;
 use std::path::PathBuf;
 use std::time::Instant;
 use xborder_browser::{
-    Referrer, RequestId, SegmentBlock, StudyChunk, StudyCtx, UserPopulation, LABEL_CLEAN,
+    LoggedRequest, Referrer, RequestId, StudyChunk, User, UserPopulation, Visit, LABEL_CLEAN,
 };
-use xborder_checkpoint::{ByteWriter, CheckpointError, CheckpointStore};
-use xborder_classify::{
-    generate_lists, ClassifierStages, IncrementalClassifier, MethodCounts,
-};
-use xborder_faults::{stable_hash, DegradationReport, FaultInjector, FaultPlan, KillSwitch};
+use xborder_checkpoint::ByteWriter;
+use xborder_classify::MethodCounts;
+use xborder_faults::{stable_hash, DegradationReport, FaultPlan, KillSwitch};
 use xborder_geo::Region;
-use xborder_webgraph::{DomainTable, SegmentStore, SegmentStoreConfig};
 
-/// How the out-of-core driver segments, spills and checkpoints.
+/// How the out-of-core driver segments and checkpoints.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScaleConfig {
     /// Users per segment (clamped to ≥ 1). A pure performance knob.
     pub segment_users: usize,
-    /// Committed segments kept resident; `0` keeps everything in RAM.
-    /// A pure performance knob.
-    pub resident_segments: usize,
-    /// Scratch directory for spilled segments (disposable; deleted when
-    /// the run ends). Required when `resident_segments > 0`.
-    pub spill_dir: Option<PathBuf>,
     /// Checkpoint directory; `None` disables durability. The format is
     /// the streaming driver's (same chunk payloads, same manifest), so
     /// kill-anywhere resume works identically.
@@ -80,14 +76,10 @@ pub struct ScaleConfig {
 }
 
 impl ScaleConfig {
-    /// In-memory out-of-core run: segmented execution, no spill, no
-    /// checkpoints (aggregates are still constant-size; only the segment
-    /// store is unbounded).
+    /// In-memory out-of-core run: segmented execution, no checkpoints.
     pub fn in_memory(segment_users: usize) -> ScaleConfig {
         ScaleConfig {
             segment_users,
-            resident_segments: 0,
-            spill_dir: None,
             checkpoint_dir: None,
         }
     }
@@ -100,15 +92,11 @@ impl ScaleConfig {
         }
     }
 
-    /// Bounds resident segments: keep at most `window` in RAM, spilling
-    /// older ones to `dir`.
-    pub fn with_resident_window(
-        mut self,
-        window: usize,
-        dir: impl Into<PathBuf>,
-    ) -> ScaleConfig {
-        self.resident_segments = window;
-        self.spill_dir = Some(dir.into());
+    /// Has no effect: the driver keeps no segments, so there is nothing to
+    /// spill and `dir` is never created. Kept with its signature because
+    /// the benchmark harness still calls it; it goes with the next
+    /// benchmark change.
+    pub fn with_resident_window(self, _window: usize, _dir: impl Into<PathBuf>) -> ScaleConfig {
         self
     }
 }
@@ -121,7 +109,7 @@ pub struct ScaleOutputs {
     /// Segments ingested (a function of the segment-size knob; excluded
     /// from [`ScaleOutputs::fingerprint`]).
     pub n_segments: usize,
-    /// Table-1 statistics, folded through per-segment bitsets.
+    /// Table-1 statistics, folded through per-segment seen-flags.
     pub stats: xborder_browser::DatasetStats,
     /// Order-insensitive digest of every visit row.
     pub visit_hash: u64,
@@ -152,8 +140,8 @@ pub struct ScaleOutputs {
 
 impl ScaleOutputs {
     /// Canonical digest of every knob-invariant output. Bit-identical
-    /// across segment sizes, resident windows, thread budgets and kill
-    /// schedules; `n_segments` (a knob echo) is deliberately excluded.
+    /// across segment sizes, thread budgets and kill schedules;
+    /// `n_segments` (a knob echo) is deliberately excluded.
     pub fn fingerprint(&self) -> u64 {
         let mut w = ByteWriter::new();
         w.put_usize(self.stats.n_users);
@@ -171,23 +159,7 @@ impl ScaleOutputs {
         }
         w.put_usize(self.stage2_rounds);
         w.put_usize(self.stage3_rounds);
-        // Canonical tracker-set order: sorted by IP, hosts sorted within.
-        let mut sorted: Vec<(&IpAddr, &IpInfo)> = self.tracker_ips.ips.iter().collect();
-        sorted.sort_by_key(|(ip, _)| **ip);
-        w.put_usize(sorted.len());
-        for (ip, info) in sorted {
-            put_ip(&mut w, *ip);
-            w.put_u64(info.requests);
-            let mut hosts: Vec<&str> = info.hosts.iter().map(|h| h.as_str()).collect();
-            hosts.sort_unstable();
-            w.put_usize(hosts.len());
-            for h in hosts {
-                w.put_str(h);
-            }
-            w.put_u64(info.window.start.0);
-            w.put_u64(info.window.end.0);
-            w.put_u8(info.from_pdns_only as u8);
-        }
+        put_tracker_ips(&mut w, &self.tracker_ips);
         w.put_usize(self.completion.n_observed);
         w.put_usize(self.completion.n_added);
         w.put_f64(self.completion.v4_share);
@@ -213,23 +185,13 @@ impl ScaleOutputs {
     }
 }
 
-/// Digest of one visit row (XOR-folded by the caller, so the fold is
-/// order-insensitive).
-fn visit_row_hash(user: u32, publisher: u32, time: u64) -> u64 {
-    let mut b = [0u8; 16];
-    b[..4].copy_from_slice(&user.to_le_bytes());
-    b[4..8].copy_from_slice(&publisher.to_le_bytes());
-    b[8..16].copy_from_slice(&time.to_le_bytes());
-    stable_hash(&b)
-}
-
 /// Digest of one request row at `global_row`. `parent` must already be a
 /// *global* row index — hashing a segment-local index would make the
 /// segment size observable in the chained fold.
 fn request_row_hash(
     buf: &mut Vec<u8>,
     global_row: u64,
-    r: &xborder_browser::LoggedRequest,
+    r: &LoggedRequest,
     parent: Option<u64>,
     first_party_ref: bool,
     label: u8,
@@ -264,118 +226,32 @@ fn request_row_hash(
     stable_hash(buf)
 }
 
-/// Folds a *materialized* log into the `(visit_hash, request_hash)`
-/// digests of [`ScaleOutputs`] — the bridge the equality tests use to pin
-/// the out-of-core fold against the batch pipeline. `requests` must be in
-/// global log order with global referrers (a batch
-/// [`crate::pipeline::StudyOutputs`] dataset qualifies as-is); the visit
-/// fold is order-insensitive.
-pub fn dataset_digests(
-    visits: &[xborder_browser::Visit],
-    requests: &[xborder_browser::LoggedRequest],
-    labels: &[u8],
-) -> (u64, u64) {
-    assert_eq!(labels.len(), requests.len(), "one label byte per request");
-    let mut visit_hash = 0u64;
-    for v in visits {
-        visit_hash ^= visit_row_hash(v.user.0, v.publisher.0, v.time.0);
-    }
-    let mut request_hash = 0u64;
-    let mut buf = Vec::with_capacity(256);
-    for (i, r) in requests.iter().enumerate() {
-        let (parent, fp) = match r.referrer {
-            Referrer::None => (None, false),
-            Referrer::FirstParty => (None, true),
-            Referrer::Request(RequestId(p)) => (Some(p as u64), false),
-        };
-        request_hash = request_hash.rotate_left(3)
-            ^ request_row_hash(&mut buf, i as u64, r, parent, fp, labels[i]);
-    }
-    (visit_hash, request_hash)
-}
-
-fn put_ip(w: &mut ByteWriter, ip: IpAddr) {
-    match ip {
-        IpAddr::V4(v4) => {
-            w.put_u8(4);
-            w.put_bytes(&v4.octets());
-        }
-        IpAddr::V6(v6) => {
-            w.put_u8(6);
-            w.put_bytes(&v6.octets());
-        }
-    }
-}
-
-/// Dense-id membership set: the out-of-core stand-in for the batch
-/// driver's `HashSet<PublisherId>` / `HashSet<DomainId>` — same distinct
-/// counts, `n/8` bytes, no per-insert allocation.
-struct Bitset {
-    words: Vec<u64>,
-    count: usize,
-}
-
-impl Bitset {
-    fn new(n: usize) -> Bitset {
-        Bitset {
-            words: vec![0; n.div_ceil(64)],
-            count: 0,
-        }
-    }
-
-    fn insert(&mut self, i: usize) {
-        let (word, bit) = (i / 64, 1u64 << (i % 64));
-        if self.words[word] & bit == 0 {
-            self.words[word] |= bit;
-            self.count += 1;
-        }
-    }
-}
-
-/// The constant-size fold state every segment absorbs into. All fields
-/// are either commutative (bitsets, XOR digest, tracker set) or chained
-/// in global log order with global coordinates (request digest), so the
-/// final values are invariant to how the stream was segmented.
-struct Aggregates {
-    visited_publishers: Bitset,
-    request_hosts: Bitset,
-    n_visits: u64,
-    n_requests: u64,
+/// The `(visit_hash, request_hash)` digests of [`ScaleOutputs`], folded
+/// chunk by chunk.
+#[derive(Default)]
+struct Digests {
     visit_hash: u64,
     request_hash: u64,
-    tracker_ips: TrackerIpSet,
+    n_requests: u64,
     row_buf: Vec<u8>,
 }
 
-impl Aggregates {
-    fn new(n_publishers: usize, n_domains: usize) -> Aggregates {
-        Aggregates {
-            visited_publishers: Bitset::new(n_publishers),
-            request_hosts: Bitset::new(n_domains),
-            n_visits: 0,
-            n_requests: 0,
-            visit_hash: 0,
-            request_hash: 0,
-            tracker_ips: TrackerIpSet::default(),
-            row_buf: Vec::with_capacity(256),
-        }
-    }
-
-    /// Folds one classified chunk. `labels` are the per-request tag bytes;
-    /// chunks must arrive in user (= global log) order for the request
-    /// digest to chain correctly.
-    fn absorb_chunk(&mut self, chunk: &StudyChunk, labels: &[u8], domains: &DomainTable) {
-        debug_assert_eq!(labels.len(), chunk.requests.len());
-        for v in &chunk.visits {
-            self.visited_publishers.insert(v.publisher.0 as usize);
+impl Digests {
+    /// Folds one chunk of rows. Chunks must arrive in global log order,
+    /// their referrers local to the chunk — a whole log in global order is
+    /// one chunk.
+    fn absorb(&mut self, visits: &[Visit], requests: &[LoggedRequest], labels: &[u8]) {
+        for v in visits {
             // XOR fold: the batch dataset sorts visits by timestamp at
             // finalization; an order-insensitive digest sees through that.
-            self.visit_hash ^= visit_row_hash(v.user.0, v.publisher.0, v.time.0);
+            let mut b = [0u8; 16];
+            b[..4].copy_from_slice(&v.user.0.to_le_bytes());
+            b[4..8].copy_from_slice(&v.publisher.0.to_le_bytes());
+            b[8..16].copy_from_slice(&v.time.0.to_le_bytes());
+            self.visit_hash ^= stable_hash(&b);
         }
-        self.n_visits += chunk.visits.len() as u64;
         let base = self.n_requests;
-        for (i, r) in chunk.requests.iter().enumerate() {
-            self.request_hosts.insert(r.host.0 as usize);
+        for (i, (r, &label)) in requests.iter().zip(labels).enumerate() {
             // Chunk-local parent row → global row: referrers never cross
             // users (hence never chunks), so parent and child share the
             // same base offset.
@@ -385,23 +261,103 @@ impl Aggregates {
                 Referrer::Request(RequestId(p)) => (Some(base + p as u64), false),
             };
             self.request_hash = self.request_hash.rotate_left(3)
-                ^ request_row_hash(&mut self.row_buf, base + i as u64, r, parent, fp, labels[i]);
-            if labels[i] != LABEL_CLEAN {
-                self.tracker_ips
-                    .absorb_tracking_request(r.ip, domains.domain(r.host), r.time);
+                ^ request_row_hash(&mut self.row_buf, base + i as u64, r, parent, fp, label);
+        }
+        self.n_requests += requests.len() as u64;
+    }
+}
+
+/// Folds a *materialized* log into the `(visit_hash, request_hash)`
+/// digests of [`ScaleOutputs`] — the bridge the equality tests use to pin
+/// the out-of-core fold against the batch pipeline. `requests` must be in
+/// global log order with global referrers (a batch
+/// [`crate::pipeline::StudyOutputs`] dataset qualifies as-is); the visit
+/// fold is order-insensitive.
+pub fn dataset_digests(visits: &[Visit], requests: &[LoggedRequest], labels: &[u8]) -> (u64, u64) {
+    assert_eq!(labels.len(), requests.len(), "one label byte per request");
+    let mut digests = Digests::default();
+    digests.absorb(visits, requests, labels);
+    (digests.visit_hash, digests.request_hash)
+}
+
+/// The worldscale sink: the constant-size fold state every segment
+/// absorbs into. All fields are either commutative (seen-flags, XOR digest,
+/// per-IP flow counts) or chained in global log order with global
+/// coordinates (request digest), so the final values are invariant to how
+/// the stream was segmented.
+struct Aggregates {
+    /// Seen-flags by dense publisher / domain id (users never span
+    /// segments, so distinct counts are unions of segment-local sets).
+    visited_publishers: Vec<bool>,
+    request_hosts: Vec<bool>,
+    n_visits: u64,
+    digests: Digests,
+    /// Tracking flows from EU28 users, counted per server IP; resolved
+    /// against the IPmap estimates once geolocation has run. At most one
+    /// entry per observed tracker IP.
+    eu28_flows: HashMap<IpAddr, u64>,
+}
+
+impl Aggregates {
+    fn new(n_publishers: usize, n_domains: usize) -> Aggregates {
+        Aggregates {
+            visited_publishers: vec![false; n_publishers],
+            request_hosts: vec![false; n_domains],
+            n_visits: 0,
+            digests: Digests::default(),
+            eu28_flows: HashMap::new(),
+        }
+    }
+
+    /// Folds one classified chunk. `labels` are the per-request tag bytes;
+    /// `users` are the chunk's users, the first of them `user_start`.
+    /// Chunks must arrive in user (= global log) order for the request
+    /// digest to chain correctly.
+    fn absorb_chunk(&mut self, chunk: &StudyChunk, labels: &[u8], users: &[User], user_start: u32) {
+        debug_assert_eq!(labels.len(), chunk.requests.len());
+        self.digests.absorb(&chunk.visits, &chunk.requests, labels);
+        for v in &chunk.visits {
+            self.visited_publishers[v.publisher.0 as usize] = true;
+        }
+        self.n_visits += chunk.visits.len() as u64;
+        let user_eu28: Vec<bool> = users.iter().map(|u| is_eu28(u.country)).collect();
+        for (r, &label) in chunk.requests.iter().zip(labels) {
+            self.request_hosts[r.host.0 as usize] = true;
+            if label != LABEL_CLEAN && user_eu28[(r.user.0 - user_start) as usize] {
+                *self.eu28_flows.entry(r.ip).or_insert(0) += 1;
             }
         }
-        self.n_requests += chunk.requests.len() as u64;
     }
 
     fn stats(&self, n_users: usize) -> xborder_browser::DatasetStats {
         xborder_browser::DatasetStats {
             n_users,
-            n_first_party_domains: self.visited_publishers.count,
+            n_first_party_domains: self.visited_publishers.iter().filter(|&&b| b).count(),
             n_first_party_requests: self.n_visits as usize,
-            n_third_party_domains: self.request_hosts.count,
-            n_third_party_requests: self.n_requests as usize,
+            n_third_party_domains: self.request_hosts.iter().filter(|&&b| b).count(),
+            n_third_party_requests: self.digests.n_requests as usize,
         }
+    }
+
+    /// The destination breakdown of the EU28-origin flows under
+    /// `estimates`, resolved in sorted-IP order — equal to folding every
+    /// flow through [`DestBreakdown::absorb_eu28_flow`].
+    fn eu28_breakdown(&self, estimates: &EstimateMap) -> DestBreakdown {
+        let mut flows: Vec<(IpAddr, u64)> =
+            self.eu28_flows.iter().map(|(ip, n)| (*ip, *n)).collect();
+        flows.sort_unstable();
+        let mut eu28 = DestBreakdown::default();
+        for (ip, n) in flows {
+            eu28.absorb_flows(ip, n, estimates);
+        }
+        eu28
+    }
+}
+
+impl SegmentSink for Aggregates {
+    fn absorb(&mut self, seg: Segment<'_>, _kill: &KillSwitch) -> Result<(), StreamError> {
+        self.absorb_chunk(seg.chunk, seg.labels, seg.users, seg.block.user_start);
+        Ok(())
     }
 }
 
@@ -422,16 +378,8 @@ pub fn run_worldscale_pipeline(
         world.config.study.population.segmented,
         "worldscale requires a segmented population config (WorldConfig::large)"
     );
-    let inj = FaultInjector::new(plan.clone());
     let mut report = DegradationReport::default();
-    let threads = world.config.parallelism.threads.max(1);
     let t_total = Instant::now();
-
-    let fingerprint = config_fingerprint(&world.config, plan)?;
-    let mut store = match &scale_cfg.checkpoint_dir {
-        Some(dir) => Some(CheckpointStore::open(dir, fingerprint)?),
-        None => None,
-    };
 
     // World-RNG draws mirror the batch/streaming drivers on a segmented
     // config bit for bit: one study-stream draw, then the single
@@ -441,226 +389,46 @@ pub fn run_worldscale_pipeline(
     let pop_seed: u64 = rng.gen();
     let study_seed: u64 = rng.gen();
     let pop_cfg = world.config.study.population.clone();
-    let n_users = pop_cfg.n_users;
-    let segment_users = scale_cfg.segment_users.max(1);
-    // Population-wide mean activity, streamed without a user vector (the
-    // per-user visit budget normalizes by it, so it must never be
-    // computed per segment).
-    let mean_activity = UserPopulation::mean_activity_segmented(&pop_cfg, pop_seed);
-
-    let (easylist, easyprivacy) = generate_lists(&world.graph);
-    let stages = ClassifierStages::default();
-    let t_compile = Instant::now();
-    let mut classifier = IncrementalClassifier::new(&easylist, &easyprivacy, stages);
-    let mut classify_ms = t_compile.elapsed().as_secs_f64() * 1e3;
-
-    let seg_cfg = match (&scale_cfg.spill_dir, scale_cfg.resident_segments) {
-        (Some(dir), window) if window > 0 => SegmentStoreConfig::bounded(window, dir.clone()),
-        _ => SegmentStoreConfig::unbounded(),
-    };
-    let mut segments: SegmentStore<SegmentBlock> = SegmentStore::new(seg_cfg);
-    let mut segment_io_ms = 0.0f64;
     let mut agg = Aggregates::new(world.graph.publishers.len(), world.graph.domains().len());
-    let mut stage2_depth = 0usize;
-    let mut stage3_rounds = 0usize;
-    let mut pre_fault_offset: u64 = 0;
-    let mut next_user = 0usize;
-
-    // Replay durable segments instead of simulating them; aggregates fold
-    // from the decoded blocks, so a resumed run accumulates exactly what
-    // the killed run had.
-    if let Some(store) = &store {
-        for entry in store.chunks().to_vec() {
-            if entry.user_start != next_user as u64
-                || entry.user_end < entry.user_start
-                || entry.user_end > n_users as u64
-            {
-                return Err(CheckpointError::ManifestInvalid {
-                    detail: format!(
-                        "chunk {} covers users {}..{} but {} of {} users are accounted for",
-                        entry.index, entry.user_start, entry.user_end, next_user, n_users
-                    ),
-                }
-                .into());
-            }
-            let payload = store.load_chunk(&entry)?;
-            let (block, cls_bytes) = decode_chunk_payload(&entry.file, &payload)?;
-            let mut rd = xborder_checkpoint::ByteReader::new(cls_bytes);
-            classifier
-                .apply_delta(&mut rd, world.graph.domains())
-                .map_err(|e| corrupt(&entry.file, e))?;
-            rd.finish().map_err(|e| corrupt(&entry.file, e))?;
-            let observations = block.observations_vec();
-            world
-                .dns
-                .absorb_id_observations(&observations, world.graph.domains());
-            let (chunk, label_bytes, seg_stage2, seg_stage3) = block.to_chunk();
-            agg.absorb_chunk(&chunk, &label_bytes, world.graph.domains());
-            report.absorb_counters(&chunk.report);
-            stage2_depth = stage2_depth.max((seg_stage2 as usize).saturating_sub(1));
-            stage3_rounds = stage3_rounds.max(seg_stage3 as usize);
-            pre_fault_offset += block.counters().requests_generated;
-            next_user = entry.user_end as usize;
-            let t_seg = Instant::now();
-            segments.push(block).map_err(seg_err)?;
-            segment_io_ms += t_seg.elapsed().as_secs_f64() * 1e3;
-        }
-    }
-
-    // Ingest the remaining users segment by segment. Each iteration holds
-    // one regenerated user slice and one AoS chunk; both die before the
-    // next segment starts, so live memory is one segment of simulation
-    // plus the store's resident window plus the fold state.
-    let t_ingest = Instant::now();
-    let cls_ms_before_ingest = classify_ms;
-    let seg_ms_before_ingest = segment_io_ms;
-    {
-        let (view, pdns) = world.dns.indexed_view_and_pdns(world.graph.domains());
-        let ctx = StudyCtx::new(
-            &world.config.study,
-            &world.graph,
-            view,
+    let run = run_segments(
+        world,
+        &mut rng,
+        plan,
+        SegmentInputs {
+            n_users: pop_cfg.n_users,
+            users: &|range| {
+                let range = range.start as u32..range.end as u32;
+                Cow::Owned(UserPopulation::generate_range(&pop_cfg, pop_seed, range))
+            },
+            // Population-wide, streamed without a user vector: the visit
+            // budget normalizes by it, so it must never be per segment.
+            mean_activity: UserPopulation::mean_activity_segmented(&pop_cfg, pop_seed),
             study_seed,
-            mean_activity,
-        );
-        let mut index = segments.len() as u64;
-        while next_user < n_users {
-            let end = (next_user + segment_users).min(n_users);
-            killable(kill, &format!("chunk-{index}:begin"))?;
-            let users =
-                UserPopulation::generate_range(&pop_cfg, pop_seed, next_user as u32..end as u32);
-            let chunk = ctx.simulate_users(&users, &inj, threads, pre_fault_offset);
-            drop(users);
-            let t_cls = Instant::now();
-            let cls = classifier.append_chunk(&chunk.requests, world.graph.domains());
-            classify_ms += t_cls.elapsed().as_secs_f64() * 1e3;
-            let labels_u8 = labels_to_bytes(&cls.labels);
-            let block = SegmentBlock::from_chunk(
-                &chunk,
-                &labels_u8,
-                cls.stage2_rounds as u32,
-                cls.stage3_rounds as u32,
-                (next_user as u32, end as u32),
-            );
-            if let Some(store) = &mut store {
-                let payload = encode_chunk_payload(&block, &mut classifier);
-                store.append_chunk(index, next_user as u64, end as u64, &payload, kill)?;
-            }
-            killable(kill, &format!("chunk-{index}:committed"))?;
-            for o in &chunk.observations {
-                pdns.observe(world.graph.domains().domain(o.host), o.ip, o.time);
-            }
-            agg.absorb_chunk(&chunk, &labels_u8, world.graph.domains());
-            report.absorb_counters(&chunk.report);
-            stage2_depth = stage2_depth.max(cls.stage2_rounds.saturating_sub(1));
-            stage3_rounds = stage3_rounds.max(cls.stage3_rounds);
-            pre_fault_offset += chunk.report.requests_generated;
-            let t_seg = Instant::now();
-            segments.push(block).map_err(seg_err)?;
-            segment_io_ms += t_seg.elapsed().as_secs_f64() * 1e3;
-            next_user = end;
-            index += 1;
-        }
-    }
-    killable(kill, "stage:study:done")?;
-    report.timings.study_ms = t_ingest.elapsed().as_secs_f64() * 1e3
-        - (classify_ms - cls_ms_before_ingest)
-        - (segment_io_ms - seg_ms_before_ingest);
-
-    let (abp, semi) = classifier.counts();
-    let stage2_rounds = 1 + stage2_depth;
-    report.timings.classify_ms = classify_ms;
-    killable(kill, "stage:classify:done")?;
-
-    // Tracker completion — the stage-boundary checkpoint, shared format
-    // with the streaming driver. The observed set was folded during
-    // ingest; only the pDNS walk happens here.
-    let t_stage = Instant::now();
-    let durable_completion = match &store {
-        Some(s) => s.load_stage("completion")?,
-        None => None,
-    };
-    let (tracker_ips, completion) = match durable_completion {
-        Some(payload) => {
-            let (ips, stats, delta) = decode_completion_state(&payload)?;
-            report.absorb_counters(&delta);
-            (ips, stats)
-        }
-        None => {
-            let mut tracker_ips = std::mem::take(&mut agg.tracker_ips);
-            let mut delta = DegradationReport::default();
-            let stats =
-                tracker_ips.complete_with_pdns_degraded(world.dns.pdns(), &inj, &mut delta);
-            report.absorb_counters(&delta);
-            if let Some(store) = &mut store {
-                let payload = encode_completion_state(&tracker_ips, &stats, &delta);
-                store.put_stage("completion", &payload, kill)?;
-            }
-            (tracker_ips, stats)
-        }
-    };
-    report.timings.completion_ms = t_stage.elapsed().as_secs_f64() * 1e3;
-    killable(kill, "stage:completion:done")?;
-
-    let t_stage = Instant::now();
-    let (ipmap_estimates, maxmind_estimates, ipapi_estimates) =
-        geolocate_providers(world, &mut rng, &tracker_ips, &inj, &mut report, threads);
-    report.timings.geolocate_ms = t_stage.elapsed().as_secs_f64() * 1e3;
-    killable(kill, "stage:geolocate:done")?;
-
-    // EU28 confinement needs user countries, which the fold state never
-    // kept: a second sequential pass over the stored segments regenerates
-    // each segment's users (pure in `(pop_seed, range)`) and folds the
-    // flows. Under a bounded window this reloads spilled segments one at
-    // a time — still `O(window)` resident.
-    let mut eu28 = DestBreakdown::default();
-    for i in 0..segments.len() {
-        let t_seg = Instant::now();
-        let block = segments.get(i).map_err(seg_err)?;
-        segment_io_ms += t_seg.elapsed().as_secs_f64() * 1e3;
-        let users = UserPopulation::generate_range(
-            &pop_cfg,
-            pop_seed,
-            block.user_start..block.user_end,
-        );
-        for row in 0..block.n_requests() {
-            if !block.is_tracking(row) {
-                continue;
-            }
-            let local = (block.request_user(row) - block.user_start) as usize;
-            eu28.absorb_eu28_flow(
-                users[local].country,
-                block.request_ip(row),
-                &ipmap_estimates,
-            );
-        }
-    }
+            segment_users: scale_cfg.segment_users,
+            checkpoint_dir: scale_cfg.checkpoint_dir.as_deref(),
+        },
+        &mut agg,
+        kill,
+        &mut report,
+    )?;
+    let eu28 = agg.eu28_breakdown(&run.ipmap_estimates);
     report.eu28_confinement = eu28.share(Region::Eu28);
-
-    let seg_stats = segments.stats();
-    report.timings.peak_resident_bytes = seg_stats.peak_resident_bytes;
-    report.timings.segments_spilled = seg_stats.segments_spilled;
-    report.timings.segments_reloaded = seg_stats.segments_reloaded;
-    report.timings.segment_io_ms = segment_io_ms;
     report.timings.total_ms = t_total.elapsed().as_secs_f64() * 1e3;
-
-    let n_segments = segments.len();
-    let stats = agg.stats(n_users);
     Ok((
         ScaleOutputs {
-            n_segments,
-            stats,
-            visit_hash: agg.visit_hash,
-            request_hash: agg.request_hash,
-            abp,
-            semi,
-            stage2_rounds,
-            stage3_rounds,
-            tracker_ips,
-            completion,
-            ipmap_estimates,
-            maxmind_estimates,
-            ipapi_estimates,
+            n_segments: run.n_segments,
+            stats: agg.stats(pop_cfg.n_users),
+            visit_hash: agg.digests.visit_hash,
+            request_hash: agg.digests.request_hash,
+            abp: run.abp,
+            semi: run.semi,
+            stage2_rounds: run.stage2_rounds,
+            stage3_rounds: run.stage3_rounds,
+            tracker_ips: run.tracker_ips,
+            completion: run.completion,
+            ipmap_estimates: run.ipmap_estimates,
+            maxmind_estimates: run.maxmind_estimates,
+            ipapi_estimates: run.ipapi_estimates,
             eu28,
         },
         report,
@@ -672,28 +440,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bitset_counts_distinct_inserts() {
-        let mut b = Bitset::new(130);
-        for i in [0, 1, 64, 64, 129, 0] {
-            b.insert(i);
-        }
-        assert_eq!(b.count, 4);
-    }
-
-    #[test]
     fn aggregates_request_digest_is_order_sensitive() {
         // Two chunks absorbed in opposite orders must disagree: the
         // request digest is chained, not commutative (the global log has
         // one order).
-        use xborder_browser::{LoggedRequest, UserId, LABEL_ABP};
+        use xborder_browser::{UserId, LABEL_ABP};
         use xborder_netsim::time::SimTime;
         use xborder_webgraph::{DomainId, PublisherId};
-        let domains = {
-            let mut t = DomainTable::default();
-            t.intern(&xborder_webgraph::Domain::new("a.example"));
-            t.intern(&xborder_webgraph::Domain::new("b.example"));
-            t
-        };
         let req = |host: u32, url: &str| LoggedRequest {
             user: UserId(0),
             time: SimTime(1),
@@ -710,16 +463,90 @@ mod tests {
             observations: vec![],
             report: DegradationReport::default(),
         };
-        let (c1, c2) = (chunk(0, "https://a.example/x"), chunk(1, "https://b.example/y"));
+        let (c1, c2) = (
+            chunk(0, "https://a.example/x"),
+            chunk(1, "https://b.example/y"),
+        );
+        let users = UserPopulation::generate_range(
+            &xborder_browser::UserPopulationConfig::small(),
+            7,
+            0..1,
+        );
         let mut fwd = Aggregates::new(4, 4);
-        fwd.absorb_chunk(&c1, &[LABEL_ABP], &domains);
-        fwd.absorb_chunk(&c2, &[LABEL_ABP], &domains);
+        fwd.absorb_chunk(&c1, &[LABEL_ABP], &users, 0);
+        fwd.absorb_chunk(&c2, &[LABEL_ABP], &users, 0);
         let mut rev = Aggregates::new(4, 4);
-        rev.absorb_chunk(&c2, &[LABEL_ABP], &domains);
-        rev.absorb_chunk(&c1, &[LABEL_ABP], &domains);
-        assert_ne!(fwd.request_hash, rev.request_hash);
+        rev.absorb_chunk(&c2, &[LABEL_ABP], &users, 0);
+        rev.absorb_chunk(&c1, &[LABEL_ABP], &users, 0);
+        assert_ne!(fwd.digests.request_hash, rev.digests.request_hash);
         // The visit digest and distinct counts stay commutative.
-        assert_eq!(fwd.visit_hash, rev.visit_hash);
-        assert_eq!(fwd.request_hosts.count, rev.request_hosts.count);
+        assert_eq!(fwd.digests.visit_hash, rev.digests.visit_hash);
+        assert_eq!(fwd.request_hosts, rev.request_hosts);
+        assert_eq!(fwd.eu28_flows, rev.eu28_flows);
+    }
+
+    #[test]
+    fn eu28_flow_counts_resolve_like_per_flow_absorb() {
+        // Per-IP counts of EU28-origin tracking flows, resolved against
+        // the estimates after the fact, must equal folding every flow
+        // through `absorb_eu28_flow` — origins outside EU28, clean rows
+        // and IPs without an estimate included.
+        use xborder_browser::{LoggedRequest, UserId, LABEL_ABP};
+        use xborder_geo::cc;
+        use xborder_geoloc::GeoEstimate;
+        use xborder_netsim::time::SimTime;
+        use xborder_webgraph::{DomainId, PublisherId};
+        let users = UserPopulation::generate_range(
+            &xborder_browser::UserPopulationConfig::small(),
+            11,
+            0..40,
+        );
+        let ip = |i: usize| -> IpAddr { format!("10.0.0.{}", i % 5).parse().unwrap() };
+        let requests: Vec<LoggedRequest> = (0..120)
+            .map(|i| LoggedRequest {
+                user: UserId((i % 40) as u32),
+                time: SimTime(i as u64),
+                first_party: DomainId(0),
+                publisher: PublisherId(0),
+                url: format!("https://t.example/{i}").into(),
+                host: DomainId(0),
+                referrer: Referrer::FirstParty,
+                ip: ip(i),
+            })
+            .collect();
+        let labels: Vec<u8> = (0..120)
+            .map(|i| if i % 3 == 0 { LABEL_CLEAN } else { LABEL_ABP })
+            .collect();
+        let chunk = StudyChunk {
+            visits: vec![],
+            requests,
+            observations: vec![],
+            report: DegradationReport::default(),
+        };
+        let estimates: EstimateMap = [cc!("DE"), cc!("US"), cc!("FR"), cc!("IT")]
+            .into_iter()
+            .enumerate()
+            .map(|(i, country)| (ip(i), GeoEstimate { country }))
+            .collect();
+
+        let mut agg = Aggregates::new(1, 1);
+        agg.absorb_chunk(&chunk, &labels, &users, 0);
+        let got = agg.eu28_breakdown(&estimates);
+        let mut want = DestBreakdown::default();
+        for (r, &label) in chunk.requests.iter().zip(&labels) {
+            if label != LABEL_CLEAN {
+                want.absorb_eu28_flow(users[r.user.0 as usize].country, r.ip, &estimates);
+            }
+        }
+        assert!(
+            want.total > 0,
+            "the sample must contain EU28 tracking flows"
+        );
+        assert!(
+            users.iter().any(|u| !is_eu28(u.country)),
+            "the sample must contain users outside EU28"
+        );
+        assert_eq!(got.total, want.total);
+        assert_eq!(got.counts, want.counts);
     }
 }

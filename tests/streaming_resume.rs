@@ -19,7 +19,8 @@
 //! 3. **Corruption matrix.** A truncated blob, a bit-flipped blob, a
 //!    version-bumped manifest and a mismatched world seed each refuse
 //!    resume with the precise typed error — and leave every byte of the
-//!    checkpoint directory untouched.
+//!    checkpoint directory untouched. A failing spill store surfaces as
+//!    its own typed error, never as checkpoint corruption.
 
 use std::collections::HashMap;
 use std::fs;
@@ -42,6 +43,10 @@ struct Fingerprint {
     added: usize,
     rounds: (usize, usize, usize),
     ip_hash: u64,
+    /// Every tracker record's contents: request count, sorted hosts,
+    /// validity window and pDNS-only flag (streaming folds the tracker set
+    /// chunk by chunk; batch builds it from the whole log).
+    ip_info_hash: u64,
     ipmap_hash: u64,
     maxmind_hash: u64,
     ipapi_hash: u64,
@@ -56,9 +61,24 @@ fn fingerprint(out: &StudyOutputs) -> Fingerprint {
     let mut ips: Vec<IpAddr> = out.tracker_ips.ips.keys().copied().collect();
     ips.sort();
     let mut ip_hash = 0u64;
+    let mut ip_info_hash = 0u64;
     let mut est = [0u64; 3];
     for ip in &ips {
         ip_hash = fold(ip_hash, &ip.to_string());
+        let info = &out.tracker_ips.ips[ip];
+        let mut hosts: Vec<&str> = info.hosts.iter().map(|h| h.as_str()).collect();
+        hosts.sort_unstable();
+        ip_info_hash = fold(
+            ip_info_hash,
+            &format!(
+                "{}|{}|{}..{}|{}",
+                info.requests,
+                hosts.join(","),
+                info.window.start.0,
+                info.window.end.0,
+                info.from_pdns_only
+            ),
+        );
         for (slot, map) in est.iter_mut().zip([
             &out.ipmap_estimates,
             &out.maxmind_estimates,
@@ -84,6 +104,7 @@ fn fingerprint(out: &StudyOutputs) -> Fingerprint {
             out.classification.stage3_rounds,
         ),
         ip_hash,
+        ip_info_hash,
         ipmap_hash: est[0],
         maxmind_hash: est[1],
         ipapi_hash: est[2],
@@ -504,4 +525,24 @@ fn kill_and_resume_with_spill_window_matches_batch() {
     assert_eq!(report, batch_report);
     let _ = fs::remove_dir_all(&ckpt);
     let _ = fs::remove_dir_all(&spill);
+}
+
+/// A spill-store failure is its own typed error, not checkpoint
+/// corruption: spill files are disposable scratch. A spill directory that
+/// is really a regular file makes the first eviction fail.
+#[test]
+fn spill_failure_is_a_typed_spill_error() {
+    let seed = 11u64;
+    let scratch = tmp_dir("spill-on-file");
+    fs::create_dir_all(&scratch).unwrap();
+    let not_a_dir = scratch.join("regular-file");
+    fs::write(&not_a_dir, b"not a directory").unwrap();
+    let stream = StreamConfig::in_memory(3).with_resident_window(1, &not_a_dir);
+    match run_streaming(tiny_config(seed), &FaultPlan::none(), &stream, &KillSwitch::none()) {
+        Err(StreamError::Spill { detail }) => {
+            assert!(detail.contains("regular-file"), "{detail}")
+        }
+        other => panic!("expected a spill error, got {other:?}"),
+    }
+    let _ = fs::remove_dir_all(&scratch);
 }

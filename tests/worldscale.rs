@@ -1,19 +1,19 @@
 //! The out-of-core contract of the worldscale driver (DESIGN.md §5j):
-//! segment size, resident window, thread budget and kill schedule are pure
+//! segment size, thread budget and kill schedule are pure
 //! performance/availability knobs of a pipeline that never materializes
-//! the population or the concatenated log.
+//! the population or the concatenated log, and keeps no segment store.
 //!
 //! 1. **Fold equality.** Every aggregate the out-of-core fold produces —
 //!    dataset stats, visit/request digests, Table-2 counts, tracker set,
 //!    completion, all three estimate maps, the EU28 breakdown — equals
 //!    the materialized batch pipeline on the same segmented config.
 //! 2. **Knob invariance.** Segment sizes {1, 7, whole} × thread budgets
-//!    {1, 8} × resident windows {0, 1, 2} × fault plans {none, aggressive}
-//!    all land on one [`ScaleOutputs::fingerprint`].
+//!    {1, 8} × fault plans {none, aggressive} all land on one
+//!    [`ScaleOutputs::fingerprint`].
 //! 3. **Kill-anywhere resume.** Every kill site of a durable run (chunk
-//!    boundaries, blob write phases, stage boundaries) is swept with the
-//!    spill window on: kill, resume on the same directory, fingerprints
-//!    bit-identical to the uninterrupted run.
+//!    boundaries, blob write phases, stage boundaries) is swept: kill,
+//!    resume on the same directory, fingerprints bit-identical to the
+//!    uninterrupted run.
 
 use std::fs;
 use std::path::PathBuf;
@@ -105,15 +105,13 @@ fn out_of_core_fold_matches_batch_pipeline() {
     let plan = FaultPlan::none();
     let reference = batch_reference(tiny_config(seed).with_threads(1), &plan);
 
-    let spill = tmp_dir("fold-spill");
     let (scale, _) = run_scale(
         tiny_config(seed).with_threads(1),
         &plan,
-        &ScaleConfig::in_memory(3).with_resident_window(1, &spill),
+        &ScaleConfig::in_memory(3),
         &KillSwitch::none(),
     )
     .expect("out-of-core run succeeds");
-    let _ = fs::remove_dir_all(&spill);
 
     // Component-wise first, for a readable failure...
     assert_eq!(scale.stats, reference.stats);
@@ -148,29 +146,20 @@ fn segment_knobs_are_invisible_in_fingerprint() {
             r
         };
         // n_users is 10, so 16 is a whole-stream segment.
-        for (i, segment_users) in [1usize, 7, 16].into_iter().enumerate() {
-            for (j, threads) in [1usize, 8].into_iter().enumerate() {
-                // Cycle the resident window through {0 (unbounded), 1, 2}
-                // so every window size appears in the matrix.
-                let window = (i + j) % 3;
-                let mut scale_cfg = ScaleConfig::in_memory(segment_users);
-                let spill = tmp_dir(&format!("matrix-{segment_users}-{threads}-{window}"));
-                if window > 0 {
-                    scale_cfg = scale_cfg.with_resident_window(window, &spill);
-                }
+        for segment_users in [1usize, 7, 16] {
+            for threads in [1usize, 8] {
                 let (out, report) = run_scale(
                     tiny_config(seed).with_threads(threads),
                     &plan,
-                    &scale_cfg,
+                    &ScaleConfig::in_memory(segment_users),
                     &KillSwitch::none(),
                 )
                 .expect("matrix run succeeds");
-                let _ = fs::remove_dir_all(&spill);
                 assert_eq!(
                     out.fingerprint(),
                     want,
                     "fingerprint drifted at segment {segment_users}, threads {threads}, \
-                     window {window}, plan {plan:?}"
+                     plan {plan:?}"
                 );
                 // The degradation counters are knob-invariant too (report
                 // equality pins them; timings were zeroed by run_scale).
@@ -180,8 +169,7 @@ fn segment_knobs_are_invisible_in_fingerprint() {
     }
 }
 
-/// Kill at every site of a durable run with the spill window on, resume
-/// on the same directory, and pin the fingerprint against the
+/// Kill at every site of a durable run, resume on the same directory, and pin the fingerprint against the
 /// uninterrupted run — mid-segment sites included (the blob write phases
 /// fire *inside* a segment's commit).
 #[test]
@@ -194,21 +182,18 @@ fn kill_anywhere_resume_matches_uninterrupted() {
     // Dry run to learn the kill-site count for this configuration.
     let probe = KillSwitch::none();
     let ckpt = tmp_dir("scale-sweep-dry");
-    let spill = tmp_dir("scale-sweep-dry-spill");
-    let scale_cfg = ScaleConfig::durable(3, &ckpt).with_resident_window(1, &spill);
+    let scale_cfg = ScaleConfig::durable(3, &ckpt);
     let (out, _) = run_scale(tiny_config(seed), &plan, &scale_cfg, &probe)
         .expect("dry run succeeds");
     assert_eq!(out.fingerprint(), want, "un-killed durable run must match batch");
     let _ = fs::remove_dir_all(&ckpt);
-    let _ = fs::remove_dir_all(&spill);
     let n_sites = probe.sites_visited();
     assert!(n_sites > 20, "expected chunk+stage+write sites, saw {n_sites}");
 
     let mut site = 0u64;
     while site < n_sites {
         let ckpt = tmp_dir(&format!("scale-sweep-{site}"));
-        let spill = tmp_dir(&format!("scale-sweep-{site}-spill"));
-        let scale_cfg = ScaleConfig::durable(3, &ckpt).with_resident_window(1, &spill);
+        let scale_cfg = ScaleConfig::durable(3, &ckpt);
         let kill = KillSwitch::at_site(site);
         match run_scale(tiny_config(seed), &plan, &scale_cfg, &kill) {
             Err(StreamError::Killed { .. }) => {}
@@ -222,58 +207,43 @@ fn kill_anywhere_resume_matches_uninterrupted() {
             "fingerprint drifted after kill at site {site}"
         );
         let _ = fs::remove_dir_all(&ckpt);
-        let _ = fs::remove_dir_all(&spill);
         site += 2;
     }
 }
 
-/// `WorldConfig::large` worlds stream end to end, and the bounded window
-/// actually bounds the store: with the window on, the segment store's
-/// peak resident footprint must come in under one segment's worth of
-/// slack, far below the unbounded run's.
+/// `WorldConfig::large` worlds stream end to end without a segment store:
+/// the no-op resident window creates no spill directory, and 100-user
+/// segments land on the whole-world fingerprint.
 #[test]
-fn large_world_streams_with_bounded_resident_segments() {
+fn large_world_streams_without_a_segment_store() {
     let users = 600usize;
     let plan = FaultPlan::none();
     let mk = || WorldConfig::large(29, users).with_threads(1);
 
+    let spill = tmp_dir("large-no-spill");
     let mut world = World::build(mk());
-    let (unbounded, unbounded_report) = run_worldscale_pipeline(
-        &mut world,
-        &plan,
-        &ScaleConfig::in_memory(100),
-        &KillSwitch::none(),
-    )
-    .expect("unbounded run succeeds");
-    assert_eq!(unbounded.stats.n_users, users);
-    assert_eq!(unbounded.n_segments, 6);
-    assert!(unbounded.stats.n_third_party_requests > 0);
-    assert_eq!(unbounded_report.timings.segments_spilled, 0);
-
-    let spill = tmp_dir("large-bounded");
-    let mut world = World::build(mk());
-    let (bounded, bounded_report) = run_worldscale_pipeline(
+    let (segmented, report) = run_worldscale_pipeline(
         &mut world,
         &plan,
         &ScaleConfig::in_memory(100).with_resident_window(1, &spill),
         &KillSwitch::none(),
     )
-    .expect("bounded run succeeds");
-    let _ = fs::remove_dir_all(&spill);
+    .expect("segmented run succeeds");
+    assert!(!spill.exists(), "worldscale created a spill directory");
+    assert_eq!(segmented.stats.n_users, users);
+    assert_eq!(segmented.n_segments, 6);
+    assert!(segmented.stats.n_third_party_requests > 0);
+    assert_eq!(report.timings.segments_spilled, 0);
+    assert_eq!(report.timings.peak_resident_bytes, 0);
 
-    // Same world, same outputs — the window is a pure perf knob.
-    assert_eq!(bounded.fingerprint(), unbounded.fingerprint());
-    // The store spilled (and reloaded for the EU28 pass), and its peak
-    // resident footprint stayed a small multiple of one segment instead
-    // of the whole log.
-    assert!(bounded_report.timings.segments_spilled >= 4, "{bounded_report:?}");
-    assert!(bounded_report.timings.segments_reloaded >= 4, "{bounded_report:?}");
-    let (peak_b, peak_u) = (
-        bounded_report.timings.peak_resident_bytes,
-        unbounded_report.timings.peak_resident_bytes,
-    );
-    assert!(
-        peak_b * 2 < peak_u,
-        "bounded peak {peak_b} not well under unbounded peak {peak_u}"
-    );
+    let mut world = World::build(mk());
+    let (whole, _) = run_worldscale_pipeline(
+        &mut world,
+        &plan,
+        &ScaleConfig::in_memory(users),
+        &KillSwitch::none(),
+    )
+    .expect("whole-world run succeeds");
+    assert_eq!(whole.n_segments, 1);
+    assert_eq!(segmented.fingerprint(), whole.fingerprint());
 }
