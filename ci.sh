@@ -11,6 +11,10 @@ cargo build --release --offline --workspace
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "== rustdoc (deny broken intra-doc links) =="
+# A link to a deleted or renamed item would otherwise rot silently.
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps --offline
+
 echo "== tests =="
 cargo test -q --offline
 

@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use xborder::{World, WorldConfig};
-use xborder_browser::{run_study_degraded, ExtensionDataset, StudyConfig};
+use xborder_browser::{run_study_sharded, ExtensionDataset, StudyConfig};
 use xborder_classify::classifier::{classify_with_stages_threads, ClassifierStages};
 use xborder_classify::{classify, generate_lists, FilterList, FilterRule, RuleEngine};
 use xborder_faults::{DegradationReport, FaultInjector};
@@ -14,13 +14,14 @@ use xborder_webgraph::Domain;
 fn dataset() -> (World, ExtensionDataset, FilterList, FilterList) {
     let mut world = World::build(WorldConfig::small(11));
     let mut rng = StdRng::seed_from_u64(12);
-    let ds = run_study_degraded(
+    let ds = run_study_sharded(
         &StudyConfig::small(),
         &world.graph,
         &mut world.dns,
         &mut rng,
         &FaultInjector::inactive(),
         &mut DegradationReport::default(),
+        1,
     );
     let (el, ep) = generate_lists(&world.graph);
     (world, ds, el, ep)

@@ -4,11 +4,12 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use xborder_dns::{ClientCtx, DnsSim, MappingPolicy, ZoneEntry, ZoneServer};
+use xborder_dns::{ClientCtx, DnsCache, DnsSim, MappingPolicy, ZoneEntry, ZoneServer};
+use xborder_faults::{DegradationReport, FaultInjector};
 use xborder_geo::{CountryCode, WORLD};
 use xborder_netsim::time::SimTime;
 use xborder_netsim::ServerId;
-use xborder_webgraph::Domain;
+use xborder_webgraph::{Domain, DomainTable};
 
 fn wide_zone(policy: MappingPolicy) -> ZoneEntry {
     let countries = ["US", "DE", "GB", "FR", "NL", "IE", "ES", "IT", "SE", "JP", "SG", "AU"];
@@ -59,13 +60,25 @@ fn bench_resolution_with_pdns_capture(c: &mut Criterion) {
         .unwrap();
     let de = WORLD.country_or_panic(CountryCode::parse("DE").unwrap());
     let client = ClientCtx::with_isp_resolver(de.code, de.centroid());
-    let host = Domain::new("bench.example.com");
-    let mut rng = StdRng::seed_from_u64(82);
+    let mut domains = DomainTable::new();
+    let host = domains.intern(&Domain::new("bench.example.com"));
+    let (view, pdns) = dns.indexed_view_and_pdns(&domains);
+    let mut cache = DnsCache::for_user(82, 0);
+    let inj = FaultInjector::inactive();
+    let mut report = DegradationReport::default();
     let mut t = 0u64;
     c.bench_function("dns/resolve_with_pdns", |b| {
         b.iter(|| {
-            t += 1;
-            dns.resolve(&host, &client, SimTime(t), &mut rng).unwrap()
+            // One TTL per step: every lookup misses, resolves and is
+            // captured into the sensor.
+            t += 300;
+            let (answer, _) = cache
+                .resolve_shared_id(&view, host, &client, SimTime(t), &inj, &mut report)
+                .unwrap();
+            for o in cache.take_id_observations() {
+                pdns.observe(domains.domain(o.host), o.ip, o.time);
+            }
+            answer
         })
     });
 }

@@ -7,7 +7,8 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use xborder::{World, WorldConfig};
-use xborder_browser::{run_study_degraded, RenderConfig, RenderEngine, StudyConfig, VisitSampler};
+use xborder_browser::{run_study_sharded, RenderConfig, RenderEngine, StudyConfig, VisitSampler};
+use xborder_dns::DnsCache;
 use xborder_faults::{DegradationReport, FaultInjector};
 
 fn bench_world_build(c: &mut Criterion) {
@@ -23,13 +24,14 @@ fn bench_full_study(c: &mut Criterion) {
             || World::build(WorldConfig::small(2)),
             |mut world| {
                 let mut rng = StdRng::seed_from_u64(3);
-                run_study_degraded(
+                run_study_sharded(
                     &StudyConfig::small(),
                     &world.graph,
                     &mut world.dns,
                     &mut rng,
                     &FaultInjector::inactive(),
                     &mut DegradationReport::default(),
+                    1,
                 )
             },
             BatchSize::PerIteration,
@@ -38,7 +40,8 @@ fn bench_full_study(c: &mut Criterion) {
 }
 
 fn bench_render_visit(c: &mut Criterion) {
-    let mut world = World::build(WorldConfig::small(4));
+    let world = World::build(WorldConfig::small(4));
+    let view = world.dns.indexed_view(world.graph.domains());
     let engine = RenderEngine::new(&world.graph, RenderConfig::default());
     let mut rng = StdRng::seed_from_u64(5);
     let pop = xborder_browser::UserPopulation::generate(
@@ -51,16 +54,18 @@ fn bench_render_visit(c: &mut Criterion) {
     let mut i = 0usize;
     let inj = FaultInjector::inactive();
     let mut report = DegradationReport::default();
+    let mut cache = DnsCache::for_user(5, 0);
     c.bench_function("fig2/render_single_visit", |b| {
         b.iter(|| {
             i = (i + 1) % n_pub;
             out.clear();
             let publisher = world.graph.publisher(xborder_webgraph::PublisherId(i as u32));
-            engine.render_visit_degraded(
+            engine.render_visit_cached(
                 &user,
                 publisher,
                 xborder_netsim::SimTime(100),
-                &mut world.dns,
+                &view,
+                &mut cache,
                 &mut out,
                 &mut rng,
                 &inj,

@@ -3,36 +3,32 @@
 //! sampling-rate ablation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use xborder_bench::{Repro, Scale};
 use xborder_netflow::record::encode_flows;
 use xborder_netflow::{generate_snapshot, FlowCollector, IspProfile, SnapshotConfig, V5Packet};
 
 fn bench_snapshot_generation(c: &mut Criterion) {
-    let mut repro = Repro::run(Scale::Small, 61);
+    let repro = Repro::run(Scale::Small, 61);
     let profile = IspProfile::by_name("DE-Broadband").unwrap();
     let cfg = SnapshotConfig {
         n_page_views: 100,
         ..Default::default()
     };
+    let view = repro.world.dns.indexed_view(repro.world.graph.domains());
     c.bench_function("table8/generate_snapshot_100views", |b| {
-        b.iter(|| {
-            let mut rng = StdRng::seed_from_u64(62);
-            generate_snapshot(&profile, &cfg, &repro.world.graph, &mut repro.world.dns, &mut rng)
-        })
+        b.iter(|| generate_snapshot(&profile, &cfg, &repro.world.graph, &view, 62))
     });
 }
 
 fn bench_v5_codec(c: &mut Criterion) {
-    let mut repro = Repro::run(Scale::Small, 63);
+    let repro = Repro::run(Scale::Small, 63);
     let profile = IspProfile::by_name("PL").unwrap();
     let cfg = SnapshotConfig {
         n_page_views: 50,
         ..Default::default()
     };
-    let mut rng = StdRng::seed_from_u64(64);
-    let snap = generate_snapshot(&profile, &cfg, &repro.world.graph, &mut repro.world.dns, &mut rng);
+    let view = repro.world.dns.indexed_view(repro.world.graph.domains());
+    let snap = generate_snapshot(&profile, &cfg, &repro.world.graph, &view, 64);
 
     let mut g = c.benchmark_group("netflow_v5");
     g.throughput(Throughput::Elements(snap.flows.len() as u64));
@@ -50,14 +46,14 @@ fn bench_v5_codec(c: &mut Criterion) {
 }
 
 fn bench_collector_matching(c: &mut Criterion) {
-    let mut repro = Repro::run(Scale::Small, 65);
+    let repro = Repro::run(Scale::Small, 65);
     let profile = IspProfile::by_name("HU").unwrap();
     let cfg = SnapshotConfig {
         n_page_views: 200,
         ..Default::default()
     };
-    let mut rng = StdRng::seed_from_u64(66);
-    let snap = generate_snapshot(&profile, &cfg, &repro.world.graph, &mut repro.world.dns, &mut rng);
+    let view = repro.world.dns.indexed_view(repro.world.graph.domains());
+    let snap = generate_snapshot(&profile, &cfg, &repro.world.graph, &view, 66);
 
     let mut g = c.benchmark_group("table8_matcher");
     g.throughput(Throughput::Elements(snap.flows.len() as u64));
@@ -76,8 +72,9 @@ fn bench_collector_matching(c: &mut Criterion) {
 fn bench_ablation_sampling_rate(c: &mut Criterion) {
     // Ablation: confinement-estimate stability vs sampled volume. Cost
     // scales linearly; EXPERIMENTS.md tracks the estimate variance.
-    let mut repro = Repro::run(Scale::Small, 67);
+    let repro = Repro::run(Scale::Small, 67);
     let profile = IspProfile::by_name("DE-Mobile").unwrap();
+    let view = repro.world.dns.indexed_view(repro.world.graph.domains());
     let mut g = c.benchmark_group("ablation_sampling_rate");
     for views in [25usize, 50, 100, 200] {
         let cfg = SnapshotConfig {
@@ -86,15 +83,9 @@ fn bench_ablation_sampling_rate(c: &mut Criterion) {
         };
         g.bench_with_input(BenchmarkId::from_parameter(views), &views, |b, _| {
             b.iter(|| {
-                let mut rng = StdRng::seed_from_u64(68);
-                let snap = generate_snapshot(
-                    &profile,
-                    &cfg,
-                    &repro.world.graph,
-                    &mut repro.world.dns,
-                    &mut rng,
-                );
-                snap.flows.len()
+                generate_snapshot(&profile, &cfg, &repro.world.graph, &view, 68)
+                    .flows
+                    .len()
             })
         });
     }

@@ -11,13 +11,15 @@
 //! counts) it was built from, so storing blocks instead of AoS chunks is
 //! invisible to every fingerprint.
 //!
-//! Blocks implement [`xborder_webgraph::SegmentPayload`], so the driver
-//! can hold them in a [`xborder_webgraph::SegmentStore`] and spill cold
-//! segments to disk behind a bounded resident window (DESIGN.md §5j).
-//! The byte encoding doubles as the checkpoint chunk-blob payload: it
-//! leads with exact column counts so decoding pre-reserves every column
-//! and the downstream interners can size themselves before ingesting the
-//! segment (no rehash spikes mid-chunk).
+//! The streaming driver keeps its committed segments as blocks
+//! (DESIGN.md §5j), and the byte encoding is the checkpoint chunk-blob
+//! payload: it leads with exact column counts so decoding pre-reserves
+//! every column and the downstream interners can size themselves before
+//! ingesting the segment (no rehash spikes mid-chunk). Bytes read back
+//! from disk are untrusted: [`SegmentBlock::decode_bytes`] validates
+//! every offset, referrer and side-table row before a block exists.
+//! Blocks also implement [`xborder_webgraph::SegmentPayload`], so a
+//! [`xborder_webgraph::SegmentStore`] can hold them.
 
 use crate::extension::{StudyChunk, Visit};
 use crate::request::{LoggedRequest, Referrer, RequestId};
@@ -369,8 +371,12 @@ impl SegmentBlock {
         w.into_bytes()
     }
 
-    /// Reverses [`SegmentBlock::encode_bytes`]; every column is allocated
-    /// at its exact final size from the header.
+    /// Reverses [`SegmentBlock::encode_bytes`]. The bytes may come from
+    /// disk, so nothing in them is trusted: pre-reservation from a header
+    /// count is capped by the bytes actually left, and a block whose URL
+    /// offsets, referrer rows or IPv6 side rows could not have been
+    /// encoded is a typed [`DecodeError`] — never a panic in a later
+    /// accessor.
     pub fn decode_bytes(bytes: &[u8]) -> Result<SegmentBlock, DecodeError> {
         let mut r = ByteReader::new(bytes);
         let user_start = r.u32()?;
@@ -389,31 +395,42 @@ impl SegmentBlock {
             *slot = r.u64()?;
         }
         fn col_u32(r: &mut ByteReader<'_>, n: usize) -> Result<Vec<u32>, DecodeError> {
-            let mut v = Vec::with_capacity(n);
+            let mut v = Vec::with_capacity(n.min(r.remaining() / 4));
             for _ in 0..n {
                 v.push(r.u32()?);
             }
             Ok(v)
         }
         fn col_u64(r: &mut ByteReader<'_>, n: usize) -> Result<Vec<u64>, DecodeError> {
-            let mut v = Vec::with_capacity(n);
+            let mut v = Vec::with_capacity(n.min(r.remaining() / 8));
             for _ in 0..n {
                 v.push(r.u64()?);
             }
             Ok(v)
         }
+        /// An IPv6 side table: rows strictly increasing (`unpack_ip`
+        /// binary-searches them) and below `n_rows`.
         fn col_ip6(
             r: &mut ByteReader<'_>,
             n: usize,
+            n_rows: usize,
+            at: usize,
         ) -> Result<Vec<(u32, [u8; 16])>, DecodeError> {
-            let mut v: Vec<(u32, [u8; 16])> = Vec::with_capacity(n);
+            let mut v: Vec<(u32, [u8; 16])> = Vec::with_capacity(n.min(r.remaining() / 20));
             for _ in 0..n {
                 let row = r.u32()?;
                 let octets: [u8; 16] = r.bytes(16)?.try_into().expect("16 bytes");
+                if row as usize >= n_rows || v.last().is_some_and(|&(prev, _)| prev >= row) {
+                    return Err(DecodeError {
+                        offset: at,
+                        detail: format!("IPv6 side row {row} unsorted or not below {n_rows} rows"),
+                    });
+                }
                 v.push((row, octets));
             }
             Ok(v)
         }
+        let at = |r: &ByteReader<'_>| bytes.len() - r.remaining();
         let v_user = col_u32(&mut r, n_visits)?;
         let v_publisher = col_u32(&mut r, n_visits)?;
         let v_time = col_u64(&mut r, n_visits)?;
@@ -422,19 +439,55 @@ impl SegmentBlock {
         let r_first_party = col_u32(&mut r, n_requests)?;
         let r_publisher = col_u32(&mut r, n_requests)?;
         let r_host = col_u32(&mut r, n_requests)?;
+        let referrer_at = at(&r);
         let r_referrer = col_u32(&mut r, n_requests)?;
-        let mut url_off = Vec::with_capacity(n_requests + 1);
+        if let Some(row) = (0..n_requests)
+            .find(|&i| r_referrer[i] < REF_FIRST_PARTY && r_referrer[i] as usize >= i)
+        {
+            return Err(DecodeError {
+                offset: referrer_at,
+                detail: format!(
+                    "row {row} refers to row {}, not an earlier one",
+                    r_referrer[row]
+                ),
+            });
+        }
+        let url_off_at = at(&r);
+        let mut url_off = Vec::with_capacity(n_requests.min(r.remaining() / 4) + 1);
         url_off.push(0);
         for _ in 0..n_requests {
             url_off.push(r.u32()?);
         }
         let url_bytes = r.bytes(url_len)?.to_vec();
+        let bad_url = |detail: String| DecodeError {
+            offset: url_off_at,
+            detail,
+        };
+        if url_off[n_requests] as usize != url_len {
+            return Err(bad_url(format!(
+                "URL offsets end at {}, arena holds {url_len} bytes",
+                url_off[n_requests]
+            )));
+        }
+        for (row, w) in url_off.windows(2).enumerate() {
+            let (s, e) = (w[0] as usize, w[1] as usize);
+            if s > e || e > url_len {
+                return Err(bad_url(format!(
+                    "row {row} URL span {s}..{e} is not in 0..{url_len}"
+                )));
+            }
+            if std::str::from_utf8(&url_bytes[s..e]).is_err() {
+                return Err(bad_url(format!("row {row} URL is not UTF-8")));
+            }
+        }
         let r_ip4 = col_u32(&mut r, n_requests)?;
-        let r_ip6 = col_ip6(&mut r, n_r_ip6)?;
+        let r_ip6_at = at(&r);
+        let r_ip6 = col_ip6(&mut r, n_r_ip6, n_requests, r_ip6_at)?;
         let o_host = col_u32(&mut r, n_obs)?;
         let o_time = col_u64(&mut r, n_obs)?;
         let o_ip4 = col_u32(&mut r, n_obs)?;
-        let o_ip6 = col_ip6(&mut r, n_o_ip6)?;
+        let o_ip6_at = at(&r);
+        let o_ip6 = col_ip6(&mut r, n_o_ip6, n_obs, o_ip6_at)?;
         let labels = r.bytes(n_labels)?.to_vec();
         r.finish()?;
         Ok(SegmentBlock {
@@ -624,5 +677,75 @@ mod tests {
         let back = SegmentBlock::decode_bytes(&block.encode_bytes()).unwrap();
         assert_eq!(back, block);
         assert_eq!(back.resident_bytes_logical(), 4); // url_off[0]
+    }
+
+    /// Encodes `block` after `corrupt` edits its columns (the encoder
+    /// trusts its input) and returns the decode error.
+    fn decode_corrupted(corrupt: impl FnOnce(&mut SegmentBlock)) -> DecodeError {
+        let mut block = SegmentBlock::from_chunk(&sample_chunk(), &[], 0, 0, (7, 9));
+        corrupt(&mut block);
+        SegmentBlock::decode_bytes(&block.encode_bytes()).expect_err("corrupt block decoded")
+    }
+
+    #[test]
+    fn url_offsets_past_the_arena_are_rejected() {
+        let err = decode_corrupted(|b| b.url_off[1] = 10_000);
+        assert!(err.detail.contains("URL span"), "{err}");
+    }
+
+    #[test]
+    fn decreasing_url_offsets_are_rejected() {
+        let err = decode_corrupted(|b| b.url_off.swap(1, 2));
+        assert!(err.detail.contains("URL span"), "{err}");
+    }
+
+    #[test]
+    fn non_utf8_url_bytes_are_rejected() {
+        let err = decode_corrupted(|b| b.url_bytes[0] = 0xff);
+        assert!(err.detail.contains("not UTF-8"), "{err}");
+    }
+
+    #[test]
+    fn forward_referrer_rows_are_rejected() {
+        // Row 1 refers to row 5 of a 3-row block; a self-reference is
+        // just as corrupt.
+        let err = decode_corrupted(|b| b.r_referrer[1] = 5);
+        assert!(err.detail.contains("not an earlier one"), "{err}");
+        let err = decode_corrupted(|b| b.r_referrer[1] = 1);
+        assert!(err.detail.contains("not an earlier one"), "{err}");
+    }
+
+    #[test]
+    fn ipv6_side_rows_must_be_sorted_and_in_range() {
+        let err = decode_corrupted(|b| b.r_ip6[0].0 = 3);
+        assert!(err.detail.contains("IPv6 side row"), "{err}");
+        let err = decode_corrupted(|b| {
+            b.r_ip6.push((0, [0; 16]));
+            b.r_ip6.push((2, [0; 16]));
+        });
+        assert!(err.detail.contains("IPv6 side row"), "{err}");
+        let err = decode_corrupted(|b| b.o_ip6.push((1, [0; 16])));
+        assert!(err.detail.contains("IPv6 side row"), "{err}");
+    }
+
+    #[test]
+    fn huge_header_counts_are_short_reads_not_allocations() {
+        // A header claiming 2^62 visits over an otherwise empty body must
+        // fail on the first missing row, not reserve the claimed columns.
+        let mut w = ByteWriter::new();
+        w.put_u32(0);
+        w.put_u32(1);
+        w.put_usize(1 << 62);
+        for _ in 0..6 {
+            w.put_usize(0);
+        }
+        w.put_u32(0);
+        w.put_u32(0);
+        for _ in 0..DegradationReport::N_COUNTERS {
+            w.put_u64(0);
+        }
+        w.put_u32(0);
+        let err = SegmentBlock::decode_bytes(&w.into_bytes()).unwrap_err();
+        assert!(err.detail.contains("short read"), "{err}");
     }
 }

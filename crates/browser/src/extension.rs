@@ -248,37 +248,6 @@ impl VisitSampler {
     }
 }
 
-/// Runs the full study: generates the population, simulates every visit,
-/// and returns the dataset. All DNS resolutions flow through `dns` (and
-/// therefore into its passive-DNS sensor). The sequential entry point:
-/// exactly [`run_study_sharded`] with a thread budget of 1.
-///
-/// Two fault layers apply:
-///
-/// * **In-path** (during rendering): resolver timeouts with bounded retry
-///   and sim-clock backoff — a request whose resolution fails outright
-///   never enters the log, and its cascade children fall back to the page
-///   as referrer.
-/// * **Post-hoc** (at the log layer): per-entry log loss and per-user log
-///   truncation drop entries *after* generation — the request happened
-///   (its DNS resolution fed the pDNS sensor) but never reached the
-///   collection server. Referrers pointing at dropped entries are remapped
-///   to [`Referrer::FirstParty`], mirroring what a real log-joiner sees
-///   when a parent entry is missing.
-///
-/// With [`FaultInjector::inactive`] this is the fault-free study: every
-/// fault coin stays cold and the RNG streams are untouched.
-pub fn run_study_degraded<R: Rng>(
-    cfg: &StudyConfig,
-    graph: &WebGraph,
-    dns: &mut DnsSim,
-    rng: &mut R,
-    inj: &FaultInjector,
-    report: &mut DegradationReport,
-) -> ExtensionDataset {
-    run_study_sharded(cfg, graph, dns, rng, inj, report, 1)
-}
-
 /// What one shard of contiguous users produces. Everything here is local
 /// to the shard: request indices (and the cascade referrers into them)
 /// start at 0, counters count only the shard's own events, and pDNS
@@ -581,8 +550,26 @@ impl<'a> StudyStream<'a> {
     }
 }
 
-/// [`run_study_degraded`] with an explicit thread budget — the parallel
-/// study driver (DESIGN.md §5d).
+/// Runs the full study: generates the population, simulates every visit,
+/// and returns the dataset — the parallel study driver (DESIGN.md §5d).
+/// Every resolution's pDNS observation is replayed into `dns`'s
+/// passive-DNS sensor. `threads == 1` is the sequential run.
+///
+/// Two fault layers apply:
+///
+/// * **In-path** (during rendering): resolver timeouts with bounded retry
+///   and sim-clock backoff — a request whose resolution fails outright
+///   never enters the log, and its cascade children fall back to the page
+///   as referrer.
+/// * **Post-hoc** (at the log layer): per-entry log loss and per-user log
+///   truncation drop entries *after* generation — the request happened
+///   (its DNS resolution fed the pDNS sensor) but never reached the
+///   collection server. Referrers pointing at dropped entries are remapped
+///   to [`Referrer::FirstParty`], mirroring what a real log-joiner sees
+///   when a parent entry is missing.
+///
+/// With [`FaultInjector::inactive`] this is the fault-free study: every
+/// fault coin stays cold and the RNG streams are untouched.
 ///
 /// The thread budget is a pure performance knob: every budget produces
 /// bit-identical datasets, reports and pDNS state. That invariance rests
@@ -742,13 +729,14 @@ mod tests {
         let graph = generate(&WebGraphConfig::small(), &mut rng);
         let mut dns = DnsSim::new();
         wire_all(&graph, &mut dns);
-        let ds = run_study_degraded(
+        let ds = run_study_sharded(
             &StudyConfig::small(),
             &graph,
             &mut dns,
             &mut rng,
             &FaultInjector::inactive(),
             &mut DegradationReport::default(),
+            1,
         );
         (graph, ds)
     }
@@ -813,13 +801,14 @@ mod tests {
         let graph = generate(&WebGraphConfig::small(), &mut rng);
         let mut dns = DnsSim::new();
         wire_all(&graph, &mut dns);
-        let ds = run_study_degraded(
+        let ds = run_study_sharded(
             &StudyConfig::small(),
             &graph,
             &mut dns,
             &mut rng,
             &FaultInjector::inactive(),
             &mut DegradationReport::default(),
+            1,
         );
         assert!(!dns.pdns().is_empty());
         assert!(dns.pdns().len() <= ds.stats().n_third_party_domains.max(1) * 2);
@@ -898,23 +887,32 @@ mod tests {
 
     #[test]
     fn sequential_entry_point_equals_sharded_at_one() {
-        let mut rng_a = StdRng::seed_from_u64(13);
-        let graph_a = generate(&WebGraphConfig::small(), &mut rng_a);
-        let mut dns_a = DnsSim::new();
-        wire_all(&graph_a, &mut dns_a);
+        // The one-thread driver equals the chunk API walked user range by
+        // user range, sequentially (the streaming driver's ingestion).
+        let mut rng = StdRng::seed_from_u64(13);
+        let graph = generate(&WebGraphConfig::small(), &mut rng);
+        let mut dns = DnsSim::new();
+        wire_all(&graph, &mut dns);
+        let cfg = StudyConfig::small();
+        let users = UserPopulation::generate(&cfg.population, &mut rng);
+        let study_seed: u64 = rng.gen();
+        let stream = StudyStream::new(&cfg, &graph, &dns, users, study_seed);
         let inj = FaultInjector::inactive();
+        let mut visits = Vec::new();
+        let mut n_requests = 0;
         let mut report_a = DegradationReport::default();
-        let a = run_study_degraded(
-            &StudyConfig::small(),
-            &graph_a,
-            &mut dns_a,
-            &mut rng_a,
-            &inj,
-            &mut report_a,
-        );
+        let n = stream.n_users();
+        for start in (0..n).step_by(7) {
+            let range = start..(start + 7).min(n);
+            let chunk = stream.simulate_chunk(range, &inj, 1, report_a.requests_generated);
+            visits.extend(chunk.visits);
+            n_requests += chunk.requests.len();
+            report_a.absorb_counters(&chunk.report);
+        }
+        visits.sort_by_key(|v| v.time);
         let (b, report_b, _) = run_sharded(13, 1);
-        assert_eq!(a.visits, b.visits);
-        assert_eq!(a.requests.len(), b.requests.len());
+        assert_eq!(visits, b.visits);
+        assert_eq!(n_requests, b.requests.len());
         assert_eq!(report_a.dns_cache_misses, report_b.dns_cache_misses);
     }
 }

@@ -16,8 +16,8 @@
 //! * [`extension`] — the study driver producing an [`ExtensionDataset`]
 //!   over the simulated study window, plus Table-1-style statistics.
 //! * [`colog`] — the log's columnar (SoA) twin: per-segment
-//!   [`SegmentBlock`]s that spill to disk behind a bounded resident
-//!   window for out-of-core million-user worlds (DESIGN.md §5j).
+//!   [`SegmentBlock`]s, the form the streaming driver keeps committed
+//!   segments in and the checkpoint chunk payload (DESIGN.md §5j).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,8 +30,8 @@ pub mod user;
 
 pub use colog::{SegmentBlock, LABEL_ABP, LABEL_CLEAN, LABEL_SEMI};
 pub use extension::{
-    run_study_degraded, run_study_sharded, DatasetStats, ExtensionDataset, StudyChunk, StudyConfig,
-    StudyCtx, StudyStream, Visit, VisitSampler,
+    run_study_sharded, DatasetStats, ExtensionDataset, StudyChunk, StudyConfig, StudyCtx,
+    StudyStream, Visit, VisitSampler,
 };
 pub use render::{RenderConfig, RenderEngine};
 pub use request::{LoggedRequest, Referrer, RequestId};

@@ -1,52 +1,21 @@
 //! The page-render model: embeds fire, cascades run, requests get logged.
+//!
+//! [`RenderEngine::render_visit_cached`] is the one render entry point:
+//! hosts resolve through the user's own [`DnsCache`] over a shared dense
+//! [`IndexedZoneView`]. DNS never draws from the visit RNG (cache misses
+//! use hash-derived per-lookup streams) and observations are buffered in
+//! the cache, so users render independently and concurrently, with no
+//! per-request clones (DESIGN.md §5d/§5f).
 
 use crate::request::{LoggedRequest, Referrer, RequestId};
 use crate::user::{User, UserId};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
-use xborder_dns::{DnsCache, DnsSim, IndexedZoneView};
+use xborder_dns::{DnsCache, IndexedZoneView};
 use xborder_faults::{DegradationReport, FaultInjector};
 use xborder_netsim::time::SimTime;
-use xborder_webgraph::{
-    url, Domain, DomainId, EmbedMode, Publisher, ServiceId, ServiceKind, WebGraph,
-};
-
-/// How a render resolves hosts: either directly against the mutable
-/// authoritative simulator (legacy path: resolution draws from the visit
-/// RNG and captures pDNS immediately), or through a per-user stub cache
-/// over a shared dense [`IndexedZoneView`] (study path: resolution draws
-/// from a hash-derived per-lookup stream and buffers observations, so
-/// user shards can render concurrently — with zero per-request clones,
-/// DESIGN.md §5f).
-enum HostResolver<'d, 'c> {
-    Direct(&'d mut DnsSim),
-    Cached {
-        view: &'d IndexedZoneView<'d>,
-        cache: &'c mut DnsCache,
-    },
-}
-
-impl HostResolver<'_, '_> {
-    #[allow(clippy::too_many_arguments)]
-    fn resolve<R: Rng + ?Sized>(
-        &mut self,
-        host_id: DomainId,
-        host: &Domain,
-        ctx: &xborder_dns::ClientCtx,
-        t: SimTime,
-        rng: &mut R,
-        inj: &FaultInjector,
-        report: &mut DegradationReport,
-    ) -> Option<(xborder_dns::ZoneServer, SimTime)> {
-        match self {
-            HostResolver::Direct(dns) => dns.resolve_degraded(host, ctx, t, rng, inj, report).ok(),
-            HostResolver::Cached { view, cache } => {
-                cache.resolve_shared_id(view, host_id, ctx, t, inj, report).ok()
-            }
-        }
-    }
-}
+use xborder_webgraph::{url, EmbedMode, Publisher, ServiceId, ServiceKind, WebGraph};
 
 /// Tunables of the render model.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -142,7 +111,8 @@ impl<'a> RenderEngine<'a> {
         referrer: Referrer,
         style_override: Option<xborder_webgraph::url::UrlStyle>,
         t: SimTime,
-        dns: &mut HostResolver<'_, '_>,
+        view: &IndexedZoneView<'_>,
+        cache: &mut DnsCache,
         rng: &mut R,
         inj: &FaultInjector,
         report: &mut DegradationReport,
@@ -154,7 +124,9 @@ impl<'a> RenderEngine<'a> {
         let host_id = self.graph.service_host_id(service, host_idx);
         let host = self.graph.domains().domain(host_id);
         let ctx = self.client_ctx_memo(user)?;
-        let (answer, t_eff) = dns.resolve(host_id, host, &ctx, t, rng, inj, report)?;
+        let (answer, t_eff) = cache
+            .resolve_shared_id(view, host_id, &ctx, t, inj, report)
+            .ok()?;
         // Stable per-(user, service) identity: the tracker's cookie id.
         let identity = (user.id.0 as u64) << 32 | service.0 as u64;
         let style = style_override.unwrap_or(svc.url_style);
@@ -197,35 +169,13 @@ impl<'a> RenderEngine<'a> {
         n
     }
 
-    /// Renders one visit of `user` to `publisher` at time `t`, resolving
-    /// through `dns`, and appends all generated requests to `out`. Returns
-    /// how many were appended. Under fault injection, resolver timeouts
-    /// (with sim-clock backoff and bounded retry) can suppress or delay
-    /// individual requests; with [`FaultInjector::inactive`] this is the
-    /// fault-free render path.
-    #[allow(clippy::too_many_arguments)]
-    pub fn render_visit_degraded<R: Rng + ?Sized>(
-        &self,
-        user: &User,
-        publisher: &Publisher,
-        t: SimTime,
-        dns: &mut DnsSim,
-        out: &mut Vec<LoggedRequest>,
-        rng: &mut R,
-        inj: &FaultInjector,
-        report: &mut DegradationReport,
-    ) -> usize {
-        let mut resolver = HostResolver::Direct(dns);
-        self.render_visit_with(user, publisher, t, &mut resolver, out, rng, inj, report)
-    }
-
-    /// The study's render path: resolves through the user's own stub
-    /// cache against a shared dense id-indexed zone view. DNS never draws
-    /// from the visit RNG here (cache misses use hash-derived per-lookup
-    /// streams), which is what makes per-user renders independent and
-    /// the study shardable (DESIGN.md §5d); host lookups and cache slots
-    /// are all `DomainId`-indexed, so no strings are hashed or cloned
-    /// (DESIGN.md §5f).
+    /// Renders one visit of `user` to `publisher` at time `t` and appends
+    /// every generated request to `out`; returns how many were appended.
+    /// Hosts resolve through the user's stub `cache` against the shared
+    /// `view` (see the module docs). Under fault injection, resolver
+    /// timeouts (with sim-clock backoff and bounded retry) can suppress or
+    /// delay individual requests; with [`FaultInjector::inactive`] this is
+    /// the fault-free render.
     #[allow(clippy::too_many_arguments)]
     pub fn render_visit_cached<R: Rng + ?Sized>(
         &self,
@@ -234,22 +184,6 @@ impl<'a> RenderEngine<'a> {
         t: SimTime,
         view: &IndexedZoneView<'_>,
         cache: &mut DnsCache,
-        out: &mut Vec<LoggedRequest>,
-        rng: &mut R,
-        inj: &FaultInjector,
-        report: &mut DegradationReport,
-    ) -> usize {
-        let mut resolver = HostResolver::Cached { view, cache };
-        self.render_visit_with(user, publisher, t, &mut resolver, out, rng, inj, report)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn render_visit_with<R: Rng + ?Sized>(
-        &self,
-        user: &User,
-        publisher: &Publisher,
-        t: SimTime,
-        dns: &mut HostResolver<'_, '_>,
         out: &mut Vec<LoggedRequest>,
         rng: &mut R,
         inj: &FaultInjector,
@@ -275,7 +209,8 @@ impl<'a> RenderEngine<'a> {
                 Referrer::FirstParty,
                 Some(xborder_webgraph::url::UrlStyle::Plain),
                 t,
-                dns,
+                view,
+                cache,
                 rng,
                 inj,
                 report,
@@ -291,8 +226,8 @@ impl<'a> RenderEngine<'a> {
             };
             for _ in 0..self.extra_requests(rng) {
                 self.issue_request(
-                    out, user, publisher, embed.service, followup_ref, None, t, dns, rng, inj,
-                    report,
+                    out, user, publisher, embed.service, followup_ref, None, t, view, cache, rng,
+                    inj, report,
                 );
             }
             // RTB cascade: only ad networks fan out further.
@@ -319,8 +254,8 @@ impl<'a> RenderEngine<'a> {
                             continue;
                         }
                         fired[i] = self.issue_request(
-                            out, user, publisher, step.service, parent_req, None, t, dns, rng,
-                            inj, report,
+                            out, user, publisher, step.service, parent_req, None, t, view, cache,
+                            rng, inj, report,
                         );
                     }
                 }
@@ -335,7 +270,7 @@ mod tests {
     use super::*;
     use crate::user::{UserPopulation, UserPopulationConfig};
     use rand::{rngs::StdRng, SeedableRng};
-    use xborder_dns::{MappingPolicy, ZoneEntry, ZoneServer};
+    use xborder_dns::{DnsSim, MappingPolicy, ZoneEntry, ZoneServer};
     use xborder_geo::{CountryCode, WORLD};
     use xborder_netsim::ServerId;
     use xborder_webgraph::{generate, WebGraphConfig};
@@ -366,18 +301,29 @@ mod tests {
         }
     }
 
-    /// Fault-free render of one visit.
+    /// Fault-free render of one visit through a fresh stub cache.
     fn render(
         engine: &RenderEngine<'_>,
         user: &User,
         p: &Publisher,
-        dns: &mut DnsSim,
+        view: &IndexedZoneView<'_>,
         out: &mut Vec<LoggedRequest>,
         rng: &mut StdRng,
     ) -> usize {
         let inj = FaultInjector::inactive();
         let mut report = DegradationReport::default();
-        engine.render_visit_degraded(user, p, SimTime(100), dns, out, rng, &inj, &mut report)
+        let mut cache = DnsCache::for_user(0, user.id.0 as u64);
+        engine.render_visit_cached(
+            user,
+            p,
+            SimTime(100),
+            view,
+            &mut cache,
+            out,
+            rng,
+            &inj,
+            &mut report,
+        )
     }
 
     fn setup() -> (WebGraph, DnsSim, UserPopulation) {
@@ -391,13 +337,14 @@ mod tests {
 
     #[test]
     fn render_produces_requests() {
-        let (graph, mut dns, pop) = setup();
+        let (graph, dns, pop) = setup();
+        let view = dns.indexed_view(graph.domains());
         let engine = RenderEngine::new(&graph, RenderConfig::default());
         let mut rng = StdRng::seed_from_u64(2);
         let mut out = Vec::new();
         let mut total = 0usize;
         for p in graph.publishers.iter().take(30) {
-            total += render(&engine, &pop.users[0], p, &mut dns, &mut out, &mut rng);
+            total += render(&engine, &pop.users[0], p, &view, &mut out, &mut rng);
         }
         assert_eq!(total, out.len());
         assert!(total > 100, "only {total} requests from 30 visits");
@@ -405,12 +352,13 @@ mod tests {
 
     #[test]
     fn cascade_requests_have_request_referrers() {
-        let (graph, mut dns, pop) = setup();
+        let (graph, dns, pop) = setup();
+        let view = dns.indexed_view(graph.domains());
         let engine = RenderEngine::new(&graph, RenderConfig::default());
         let mut rng = StdRng::seed_from_u64(3);
         let mut out = Vec::new();
         for p in &graph.publishers {
-            render(&engine, &pop.users[1], p, &mut dns, &mut out, &mut rng);
+            render(&engine, &pop.users[1], p, &view, &mut out, &mut rng);
         }
         let cascade_reqs = out
             .iter()
@@ -427,7 +375,8 @@ mod tests {
 
     #[test]
     fn interaction_gates_lazy_embeds() {
-        let (graph, mut dns, pop) = setup();
+        let (graph, dns, pop) = setup();
+        let view = dns.indexed_view(graph.domains());
         let engine = RenderEngine::new(&graph, RenderConfig::default());
 
         let mut eager = pop.users[0].clone();
@@ -435,11 +384,11 @@ mod tests {
         let mut passive = pop.users[0].clone();
         passive.interaction_p = 0.0;
 
-        let mut count_for = |user: &User, seed: u64| {
+        let count_for = |user: &User, seed: u64| {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut out = Vec::new();
             for p in &graph.publishers {
-                render(&engine, user, p, &mut dns, &mut out, &mut rng);
+                render(&engine, user, p, &view, &mut out, &mut rng);
             }
             out.len()
         };
@@ -454,12 +403,13 @@ mod tests {
 
     #[test]
     fn requests_resolve_to_wired_ips() {
-        let (graph, mut dns, pop) = setup();
+        let (graph, dns, pop) = setup();
+        let view = dns.indexed_view(graph.domains());
         let engine = RenderEngine::new(&graph, RenderConfig::default());
         let mut rng = StdRng::seed_from_u64(4);
         let mut out = Vec::new();
         for p in graph.publishers.iter().take(10) {
-            render(&engine, &pop.users[2], p, &mut dns, &mut out, &mut rng);
+            render(&engine, &pop.users[2], p, &view, &mut out, &mut rng);
         }
         for r in &out {
             assert!(xborder_netsim::ip::is_simulator_address(r.ip));
@@ -476,7 +426,9 @@ mod tests {
     fn unwired_dns_yields_no_requests() {
         let mut rng = StdRng::seed_from_u64(5);
         let graph = generate(&WebGraphConfig::small(), &mut rng);
-        let mut dns = DnsSim::new(); // nothing wired
+        let dns = DnsSim::new(); // nothing wired
+        let view = dns.indexed_view(graph.domains());
+        let mut cache = DnsCache::for_user(0, 0);
         let pop = UserPopulation::generate(&UserPopulationConfig::small(), &mut rng);
         let engine = RenderEngine::new(&graph, RenderConfig::default());
         let mut out = Vec::new();
@@ -484,11 +436,12 @@ mod tests {
         let mut report = DegradationReport::default();
         let user = &pop.users[0];
         let p = &graph.publishers[0];
-        let n = engine.render_visit_degraded(
+        let n = engine.render_visit_cached(
             user,
             p,
             SimTime(0),
-            &mut dns,
+            &view,
+            &mut cache,
             &mut out,
             &mut rng,
             &inj,

@@ -175,7 +175,7 @@ mod tests {
     use crate::listgen::generate_lists;
     use rand::{rngs::StdRng, SeedableRng};
     use xborder_browser::Referrer;
-    use xborder_browser::{run_study_degraded, StudyConfig};
+    use xborder_browser::{run_study_sharded, StudyConfig};
     use xborder_dns::{DnsSim, MappingPolicy, ZoneEntry, ZoneServer};
     use xborder_faults::{DegradationReport, FaultInjector};
     use xborder_geo::{CountryCode, WORLD};
@@ -210,13 +210,14 @@ mod tests {
         let graph = generate(&WebGraphConfig::small(), &mut rng);
         let mut dns = DnsSim::new();
         wire_all(&graph, &mut dns);
-        let ds = run_study_degraded(
+        let ds = run_study_sharded(
             &StudyConfig::small(),
             &graph,
             &mut dns,
             &mut rng,
             &FaultInjector::inactive(),
             &mut DegradationReport::default(),
+            1,
         );
         (graph, ds.requests)
     }

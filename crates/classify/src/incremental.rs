@@ -1334,7 +1334,7 @@ mod tests {
     use crate::classifier::{classify, classify_with_stages_threads};
     use crate::listgen::generate_lists;
     use rand::{rngs::StdRng, SeedableRng};
-    use xborder_browser::{run_study_degraded, StudyConfig};
+    use xborder_browser::{run_study_sharded, StudyConfig};
     use xborder_dns::{DnsSim, MappingPolicy, ZoneEntry, ZoneServer};
     use xborder_faults::{DegradationReport, FaultInjector};
     use xborder_geo::{CountryCode, WORLD};
@@ -1365,13 +1365,14 @@ mod tests {
                 .unwrap();
             }
         }
-        let ds = run_study_degraded(
+        let ds = run_study_sharded(
             &StudyConfig::small(),
             &graph,
             &mut dns,
             &mut rng,
             &FaultInjector::inactive(),
             &mut DegradationReport::default(),
+            1,
         );
         (graph, ds.requests)
     }

@@ -24,9 +24,10 @@
 //! regenerated from `(pop_seed, range)`) and a sink that sees every
 //! committed segment once, in user order:
 //!
-//! * this driver's sink keeps the segments in a [`SegmentStore`] (bounded
-//!   residency with [`StreamConfig::with_resident_window`]), feeds the
-//!   rolling snapshots, and reassembles the full dataset at the end;
+//! * this driver's sink keeps the segments in memory as a plain vector of
+//!   columnar blocks, feeds the rolling snapshots, and reassembles the
+//!   full dataset at the end (the driver returns that dataset, so it holds
+//!   the whole log in memory);
 //! * the worldscale sink folds constant-size aggregates and keeps no
 //!   segment at all.
 //!
@@ -116,7 +117,7 @@ use xborder_faults::{stable_hash, DegradationReport, FaultInjector, FaultPlan, K
 use xborder_geo::Region;
 use xborder_netsim::time::{SimTime, TimeWindow};
 use xborder_netsim::Infrastructure;
-use xborder_webgraph::{Domain, SegmentError, SegmentStore, SegmentStoreConfig};
+use xborder_webgraph::Domain;
 
 /// How the streaming driver chunks and checkpoints.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -133,19 +134,6 @@ pub struct StreamConfig {
     /// excluded from the checkpoint fingerprint, so a resume may change
     /// it freely.
     pub snapshot_windows: usize,
-    /// Maximum committed segments resident in memory at once; `0` keeps
-    /// every segment resident (the pre-segmentation behavior). With a
-    /// window and a [`StreamConfig::spill_dir`], older segments spill to
-    /// disk and resident memory is `O(chunk_users × resident_segments)`
-    /// instead of `O(n_users)`. A pure performance knob: every value
-    /// yields bit-identical outputs (DESIGN.md §5j), and — like chunking —
-    /// it is excluded from the checkpoint fingerprint.
-    pub resident_segments: usize,
-    /// Scratch directory for spilled segments (distinct from the
-    /// checkpoint directory: spill files are disposable, deleted when the
-    /// run ends, and carry no durability guarantees). Ignored when
-    /// `resident_segments == 0`.
-    pub spill_dir: Option<PathBuf>,
 }
 
 impl StreamConfig {
@@ -155,8 +143,6 @@ impl StreamConfig {
             chunk_users,
             checkpoint_dir: None,
             snapshot_windows: 0,
-            resident_segments: 0,
-            spill_dir: None,
         }
     }
 
@@ -172,14 +158,6 @@ impl StreamConfig {
     /// as ingestion progresses (DESIGN.md §5g).
     pub fn with_snapshots(mut self, windows: usize) -> StreamConfig {
         self.snapshot_windows = windows;
-        self
-    }
-
-    /// Bounds resident memory: keep at most `window` committed segments
-    /// in RAM, spilling older ones to `dir` (DESIGN.md §5j).
-    pub fn with_resident_window(mut self, window: usize, dir: impl Into<PathBuf>) -> StreamConfig {
-        self.resident_segments = window;
-        self.spill_dir = Some(dir.into());
         self
     }
 }
@@ -198,13 +176,6 @@ pub enum StreamError {
     /// The checkpoint layer refused or failed (corrupt blob, version or
     /// seed mismatch, IO error).
     Checkpoint(CheckpointError),
-    /// The segment spill store failed (IO error, torn or missing spill
-    /// file). Spill files are disposable scratch, not checkpoint state:
-    /// the checkpoint directory is untouched and a rerun recomputes them.
-    Spill {
-        /// What failed, with the spill file involved.
-        detail: String,
-    },
 }
 
 impl fmt::Display for StreamError {
@@ -214,7 +185,6 @@ impl fmt::Display for StreamError {
                 write!(f, "streaming run killed at site {site} ({label})")
             }
             StreamError::Checkpoint(e) => write!(f, "checkpoint failure: {e}"),
-            StreamError::Spill { detail } => write!(f, "segment spill failure: {detail}"),
         }
     }
 }
@@ -226,14 +196,6 @@ impl From<CheckpointError> for StreamError {
         match e {
             CheckpointError::Killed { site, label } => StreamError::Killed { site, label },
             other => StreamError::Checkpoint(other),
-        }
-    }
-}
-
-impl From<SegmentError> for StreamError {
-    fn from(e: SegmentError) -> StreamError {
-        StreamError::Spill {
-            detail: e.to_string(),
         }
     }
 }
@@ -290,7 +252,7 @@ fn labels_to_bytes(labels: &[Classification]) -> Vec<u8> {
 }
 
 /// Reverses [`labels_to_bytes`]; an unknown tag is typed corruption (the
-/// bytes came from a spill file or checkpoint blob).
+/// bytes may come from a checkpoint blob).
 fn labels_from_bytes(file: &str, bytes: &[u8]) -> Result<Vec<Classification>, StreamError> {
     bytes
         .iter()
@@ -617,11 +579,10 @@ pub(crate) fn run_segments<S: SegmentSink>(
 // The streaming driver.
 // ---------------------------------------------------------------------------
 
-/// The streaming driver's sink: keeps every committed segment in a
-/// [`SegmentStore`] for the final dataset and feeds the rolling snapshots.
+/// The streaming driver's sink: keeps every committed segment for the
+/// final dataset and feeds the rolling snapshots.
 struct DatasetSink {
-    segments: SegmentStore<SegmentBlock>,
-    segment_io_ms: f64,
+    segments: Vec<SegmentBlock>,
     snapshots: Option<SnapshotAccumulator>,
     snapshot_ms: f64,
 }
@@ -662,9 +623,7 @@ impl SegmentSink for DatasetSink {
             );
             self.snapshot_ms += t.elapsed().as_secs_f64() * 1e3;
         }
-        let t = Instant::now();
-        self.segments.push(seg.block)?;
-        self.segment_io_ms += t.elapsed().as_secs_f64() * 1e3;
+        self.segments.push(seg.block);
         self.emit_due_snapshots(users_ingested, kill)
     }
 }
@@ -694,17 +653,10 @@ pub fn run_extension_pipeline_streaming(
     let population = UserPopulation::generate(&world.config.study.population, &mut rng);
     let study_seed: u64 = rng.gen();
 
-    // Committed segments live in a bounded-residency store: columnar
-    // blocks, FIFO-evicted to disposable spill files once the resident
-    // window fills (DESIGN.md §5j). Unbounded (the default) keeps the
-    // pre-segmentation behavior: everything resident, zero spill IO.
-    let seg_cfg = match (&stream_cfg.spill_dir, stream_cfg.resident_segments) {
-        (Some(dir), window) if window > 0 => SegmentStoreConfig::bounded(window, dir.clone()),
-        _ => SegmentStoreConfig::unbounded(),
-    };
+    // Committed segments stay in memory as columnar blocks until the
+    // dataset is reassembled (DESIGN.md §5j).
     let mut sink = DatasetSink {
-        segments: SegmentStore::new(seg_cfg),
-        segment_io_ms: 0.0,
+        segments: Vec::new(),
         snapshots: (stream_cfg.snapshot_windows > 0).then(|| {
             SnapshotAccumulator::new(
                 world.config.study.window,
@@ -737,17 +689,12 @@ pub fn run_extension_pipeline_streaming(
     )?;
 
     // Finalize the study: reassemble the global log in chunk (= user)
-    // order, exactly the batch merge. Spilled segments reload from disk
-    // one at a time, and their spill files are gone once taken.
+    // order, exactly the batch merge.
     let t_finalize = Instant::now();
-    let io_ms_before_finalize = sink.segment_io_ms;
     let mut visits: Vec<Visit> = Vec::new();
     let mut requests: Vec<LoggedRequest> = Vec::new();
     let mut labels: Vec<Classification> = Vec::new();
-    for i in 0..sink.segments.len() {
-        let t_seg = Instant::now();
-        let block = sink.segments.take(i)?;
-        sink.segment_io_ms += t_seg.elapsed().as_secs_f64() * 1e3;
+    for (i, block) in sink.segments.into_iter().enumerate() {
         let (chunk, label_bytes, _, _) = block.to_chunk();
         labels.extend(labels_from_bytes(&format!("segment-{i:05}"), &label_bytes)?);
         let offset = requests.len() as u32;
@@ -768,17 +715,8 @@ pub fn run_extension_pipeline_streaming(
         requests,
         domains: world.graph.domains().clone(),
     };
-    // Segment-store telemetry: deterministic under the contract, but a
-    // function of the segment-size/window knobs — reported as timings,
-    // outside report equality (DESIGN.md §5j).
-    let seg_stats = sink.segments.stats();
-    report.timings.peak_resident_bytes = seg_stats.peak_resident_bytes;
-    report.timings.segments_spilled = seg_stats.segments_spilled;
-    report.timings.segments_reloaded = seg_stats.segments_reloaded;
-    report.timings.segment_io_ms = sink.segment_io_ms;
     report.timings.snapshot_ms = sink.snapshot_ms;
-    report.timings.study_ms +=
-        t_finalize.elapsed().as_secs_f64() * 1e3 - (sink.segment_io_ms - io_ms_before_finalize);
+    report.timings.study_ms += t_finalize.elapsed().as_secs_f64() * 1e3;
 
     let out = StudyOutputs {
         dataset,

@@ -7,28 +7,24 @@
 //! that dynamic measurable: resolve through it, flip the zone, and watch
 //! the old answer linger for exactly one TTL.
 //!
-//! Since the parallel-study refactor (DESIGN.md §5d) this is also the
-//! *per-user* resolver state of the extension study, mirroring the paper's
-//! per-client caching (Sect. 5.1): each simulated user owns one
-//! `DnsCache`, resolves against a shared read-only [`ZoneView`], and
-//! buffers the [`PdnsObservation`]s its cache misses would have produced
-//! at a production resolver. Lookup RNG is hash-derived from
+//! It is the *per-user* resolver state of every driver (DESIGN.md §5d),
+//! mirroring the paper's per-client caching (Sect. 5.1): each simulated
+//! user (or ephemeral ISP subscriber) owns one `DnsCache`, resolves
+//! interned hosts against a shared read-only [`IndexedZoneView`], and
+//! buffers the [`PdnsIdObservation`]s its cache misses would have
+//! produced at a production resolver. Lookup RNG is hash-derived from
 //! `(user stream, host, time)`, so a lookup's answer never depends on how
 //! many lookups ran before it — the property that lets user shards run
 //! concurrently and still merge bit-identically.
 
 use crate::resolver::ClientCtx;
-use crate::sim::{DnsSim, IndexedZoneView, PdnsIdObservation, PdnsObservation, ZoneView};
+use crate::sim::{IndexedZoneView, PdnsIdObservation};
 use crate::zone::ZoneServer;
-use crate::DnsError;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
-use xborder_faults::{
-    derive_stream_seed, stable_hash, DegradationReport, FaultError, FaultInjector,
-};
+use rand::SeedableRng;
+use xborder_faults::{derive_stream_seed, DegradationReport, FaultError, FaultInjector};
 use xborder_netsim::time::SimTime;
-use xborder_webgraph::{Domain, DomainId};
+use xborder_webgraph::DomainId;
 
 /// One cached answer.
 #[derive(Debug, Clone, Copy)]
@@ -37,30 +33,20 @@ struct CacheEntry {
     expires: SimTime,
 }
 
-/// A per-client (or per-resolver) answer cache.
+/// A per-client answer cache over interned hosts.
 #[derive(Debug, Default)]
 pub struct DnsCache {
-    entries: HashMap<Domain, CacheEntry>,
-    /// Dense id-indexed entries for the allocation-free study path
-    /// (DESIGN.md §5f); grown lazily to the highest id touched.
+    /// Dense id-indexed entries (DESIGN.md §5f); grown lazily to the
+    /// highest id touched.
     by_id: Vec<Option<CacheEntry>>,
-    hits: u64,
-    misses: u64,
     /// Seed of this client's lookup-RNG stream (see [`DnsCache::for_user`]).
     lookup_seed: u64,
     /// Observations buffered on cache misses, for deterministic replay
     /// into the central pDNS database.
-    observations: Vec<PdnsObservation>,
-    /// Id-form observations buffered by [`DnsCache::resolve_shared_id`].
     id_observations: Vec<PdnsIdObservation>,
 }
 
 impl DnsCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// The stub-resolver state of one study user: lookup RNG derives from
     /// `(study_seed, user)`, so two users' DNS answers are independent and
     /// a user's answers are independent of every other user's progress.
@@ -71,98 +57,19 @@ impl DnsCache {
         }
     }
 
-    /// Resolves through the cache: returns the cached answer while its TTL
-    /// lasts, otherwise asks the authoritative simulator and caches the
-    /// fresh answer (one lookup: the answer carries its zone's TTL).
-    pub fn resolve<R: Rng + ?Sized>(
-        &mut self,
-        dns: &mut DnsSim,
-        host: &Domain,
-        client: &ClientCtx,
-        now: SimTime,
-        rng: &mut R,
-    ) -> Result<ZoneServer, DnsError> {
-        if let Some(entry) = self.entries.get(host) {
-            if now < entry.expires {
-                self.hits += 1;
-                return Ok(entry.answer);
-            }
-        }
-        self.misses += 1;
-        let (answer, ttl) = dns.resolve_with_ttl(host, client, now, rng)?;
-        let fresh = CacheEntry {
-            answer,
-            expires: now.plus_secs(ttl as u64),
-        };
-        // Refresh in place when the host already has a (stale) slot; clone
-        // the key only on a first-ever miss.
-        match self.entries.get_mut(host) {
-            Some(e) => *e = fresh,
-            None => {
-                self.entries.insert(host.clone(), fresh);
-            }
-        }
-        Ok(answer)
-    }
-
-    /// Resolves through the cache against a shared read-only zone view —
-    /// the study's per-user path. A hit answers from the cache (no
-    /// authoritative query, no pDNS observation, no RNG); a miss resolves
-    /// with a lookup RNG derived from `(user stream, host, time)`, buffers
-    /// the observation a sensor would have recorded, and caches the answer
-    /// until its TTL runs out (TTL measured from the *effective* resolve
-    /// time, after any fault backoff).
-    pub fn resolve_shared(
-        &mut self,
-        view: &ZoneView<'_>,
-        host: &Domain,
-        client: &ClientCtx,
-        now: SimTime,
-        inj: &FaultInjector,
-        report: &mut DegradationReport,
-    ) -> Result<(ZoneServer, SimTime), FaultError> {
-        if let Some(entry) = self.entries.get(host) {
-            if now < entry.expires {
-                self.hits += 1;
-                report.dns_cache_hits += 1;
-                return Ok((entry.answer, now));
-            }
-        }
-        self.misses += 1;
-        report.dns_cache_misses += 1;
-        let mut rng = StdRng::seed_from_u64(derive_stream_seed(
-            self.lookup_seed,
-            stable_hash(host.as_str().as_bytes()) ^ now.0.rotate_left(32),
-        ));
-        let (answer, t_eff, ttl) = view.resolve_degraded(host, client, now, &mut rng, inj, report)?;
-        self.observations.push(PdnsObservation {
-            host: host.clone(),
-            ip: answer.ip,
-            time: t_eff,
-        });
-        let fresh = CacheEntry {
-            answer,
-            expires: t_eff.plus_secs(ttl as u64),
-        };
-        // One clone per steady-state miss (the observation above): expired
-        // entries refresh in place, so the key is cloned again only on a
-        // host's first-ever miss. The id path below clones nothing at all.
-        match self.entries.get_mut(host) {
-            Some(e) => *e = fresh,
-            None => {
-                self.entries.insert(host.clone(), fresh);
-            }
-        }
-        Ok((answer, t_eff))
-    }
-
-    /// The allocation-free study path (DESIGN.md §5f): semantics of
-    /// [`DnsCache::resolve_shared`] over interned host ids. The miss-RNG
-    /// seed derives from the view's precomputed `stable_hash` of the host
-    /// bytes — the same value the string path hashes per miss — so answers,
-    /// effective times, and fault coins are bit-identical. No `Domain` is
-    /// cloned anywhere: cache slots are a dense `Vec` indexed by id and
-    /// observations buffer the id.
+    /// Resolves through the cache against a shared read-only zone view.
+    /// A hit answers from the cache (no authoritative query, no pDNS
+    /// observation, no RNG); a miss resolves with a lookup RNG derived
+    /// from `(user stream, host hash, time)`, buffers the observation a
+    /// sensor would have recorded, and caches the answer until its TTL
+    /// runs out (TTL measured from the *effective* resolve time, after any
+    /// fault backoff). An answer cached at `t` with TTL `d` serves
+    /// `[t, t + d)`; failed resolutions are not cached. Hits and misses
+    /// count into `report.dns_cache_hits` / `dns_cache_misses`.
+    ///
+    /// The miss-RNG seed uses the view's precomputed `stable_hash` of the
+    /// host bytes, and cache slots are a dense `Vec` indexed by id, so no
+    /// string is hashed or cloned per lookup (DESIGN.md §5f).
     pub fn resolve_shared_id(
         &mut self,
         view: &IndexedZoneView<'_>,
@@ -178,12 +85,10 @@ impl DnsCache {
         }
         if let Some(entry) = self.by_id[idx] {
             if now < entry.expires {
-                self.hits += 1;
                 report.dns_cache_hits += 1;
                 return Ok((entry.answer, now));
             }
         }
-        self.misses += 1;
         report.dns_cache_misses += 1;
         let mut rng = StdRng::seed_from_u64(derive_stream_seed(
             self.lookup_seed,
@@ -203,46 +108,24 @@ impl DnsCache {
         Ok((answer, t_eff))
     }
 
-    /// Drains the buffered pDNS observations (in lookup order) for replay
-    /// into [`DnsSim::absorb_observations`].
-    pub fn take_observations(&mut self) -> Vec<PdnsObservation> {
-        std::mem::take(&mut self.observations)
-    }
-
-    /// Drains the buffered id observations (in lookup order) for replay
-    /// into [`DnsSim::absorb_id_observations`].
+    /// Drains the buffered observations (in lookup order) for replay
+    /// into [`crate::DnsSim::absorb_id_observations`].
     pub fn take_id_observations(&mut self) -> Vec<PdnsIdObservation> {
         std::mem::take(&mut self.id_observations)
-    }
-
-    /// Cache hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Cache misses (authoritative queries) so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Number of live entries at `now`.
-    pub fn live_entries(&self, now: SimTime) -> usize {
-        self.entries.values().filter(|e| now < e.expires).count()
-    }
-
-    /// Drops expired entries (housekeeping; correctness never needs it).
-    pub fn evict_expired(&mut self, now: SimTime) {
-        self.entries.retain(|_, e| now < e.expires);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::{reference, DnsSim};
     use crate::zone::{MappingPolicy, ZoneEntry};
-    use rand::{rngs::StdRng, SeedableRng};
+    use std::collections::HashMap;
+    use std::net::IpAddr;
+    use xborder_faults::stable_hash;
     use xborder_geo::{cc, CountryCode, WORLD};
     use xborder_netsim::ServerId;
+    use xborder_webgraph::{Domain, DomainTable};
 
     fn zone(host: &str, ip: &str, country: &str, ttl: u32) -> ZoneEntry {
         let c = WORLD.country_or_panic(CountryCode::parse(country).unwrap());
@@ -265,19 +148,51 @@ mod tests {
         ClientCtx::with_isp_resolver(cc!("DE"), de.centroid())
     }
 
+    /// Interns `hosts` in order (as the world's domain table would).
+    fn interned(hosts: &[&str]) -> (DomainTable, Vec<DomainId>) {
+        let mut domains = DomainTable::new();
+        let ids = hosts
+            .iter()
+            .map(|h| domains.intern(&Domain::new(h)))
+            .collect();
+        (domains, ids)
+    }
+
+    /// One fault-free lookup through `cache`, answering `None` on failure.
+    fn lookup(
+        cache: &mut DnsCache,
+        view: &IndexedZoneView<'_>,
+        id: DomainId,
+        t: u64,
+        report: &mut DegradationReport,
+    ) -> Option<ZoneServer> {
+        let inj = FaultInjector::inactive();
+        cache
+            .resolve_shared_id(view, id, &client(), SimTime(t), &inj, report)
+            .ok()
+            .map(|(a, _)| a)
+    }
+
+    fn hits_misses(report: &DegradationReport) -> (u64, u64) {
+        (report.dns_cache_hits, report.dns_cache_misses)
+    }
+
     #[test]
     fn caches_within_ttl() {
         let mut dns = DnsSim::new();
         dns.add_zone(zone("t.x.com", "1.0.0.1", "DE", 300)).unwrap();
-        let mut cache = DnsCache::new();
-        let mut rng = StdRng::seed_from_u64(1);
-        let host = Domain::new("t.x.com");
-
-        cache.resolve(&mut dns, &host, &client(), SimTime(0), &mut rng).unwrap();
-        cache.resolve(&mut dns, &host, &client(), SimTime(299), &mut rng).unwrap();
-        assert_eq!(cache.misses(), 1);
-        assert_eq!(cache.hits(), 1);
+        let (domains, ids) = interned(&["t.x.com"]);
+        let mut cache = DnsCache::for_user(1, 0);
+        let mut report = DegradationReport::default();
+        {
+            let view = dns.indexed_view(&domains);
+            lookup(&mut cache, &view, ids[0], 0, &mut report).unwrap();
+            lookup(&mut cache, &view, ids[0], 299, &mut report).unwrap();
+        }
+        assert_eq!(hits_misses(&report), (1, 1));
         // The authoritative side (and its pDNS sensor) saw exactly one query.
+        dns.absorb_id_observations(&cache.take_id_observations(), &domains);
+        let host = Domain::new("t.x.com");
         assert_eq!(dns.pdns().forward(&host).len(), 1);
         assert_eq!(dns.pdns().forward(&host)[0].count, 1);
     }
@@ -286,72 +201,69 @@ mod tests {
     fn expires_after_ttl() {
         let mut dns = DnsSim::new();
         dns.add_zone(zone("t.x.com", "1.0.0.1", "DE", 300)).unwrap();
-        let mut cache = DnsCache::new();
-        let mut rng = StdRng::seed_from_u64(2);
-        let host = Domain::new("t.x.com");
-
-        cache.resolve(&mut dns, &host, &client(), SimTime(0), &mut rng).unwrap();
-        cache.resolve(&mut dns, &host, &client(), SimTime(300), &mut rng).unwrap();
-        assert_eq!(cache.misses(), 2);
-        assert_eq!(cache.hits(), 0);
+        let (domains, ids) = interned(&["t.x.com"]);
+        let view = dns.indexed_view(&domains);
+        let mut cache = DnsCache::for_user(2, 0);
+        let mut report = DegradationReport::default();
+        lookup(&mut cache, &view, ids[0], 0, &mut report).unwrap();
+        lookup(&mut cache, &view, ids[0], 300, &mut report).unwrap();
+        assert_eq!(hits_misses(&report), (0, 2));
     }
 
     #[test]
     fn ttl_boundary_is_half_open() {
         // An answer cached at t with TTL d serves [t, t+d) — the instant
-        // `now == expires` is already a miss, on both resolve paths.
+        // `now == expires` is already a miss.
         let mut dns = DnsSim::new();
         dns.add_zone(zone("t.x.com", "1.0.0.1", "DE", 100)).unwrap();
-        let host = Domain::new("t.x.com");
-
-        let mut cache = DnsCache::new();
-        let mut rng = StdRng::seed_from_u64(7);
-        cache.resolve(&mut dns, &host, &client(), SimTime(0), &mut rng).unwrap();
-        cache.resolve(&mut dns, &host, &client(), SimTime(99), &mut rng).unwrap();
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
-        cache.resolve(&mut dns, &host, &client(), SimTime(100), &mut rng).unwrap();
-        assert_eq!((cache.hits(), cache.misses()), (1, 2));
-        assert_eq!(cache.live_entries(SimTime(199)), 1);
-        assert_eq!(cache.live_entries(SimTime(200)), 0);
-
-        let mut shared = DnsCache::for_user(42, 7);
-        let inj = FaultInjector::inactive();
+        let (domains, ids) = interned(&["t.x.com"]);
+        let view = dns.indexed_view(&domains);
+        let mut cache = DnsCache::for_user(42, 7);
         let mut report = DegradationReport::default();
-        let view = dns.view();
-        shared.resolve_shared(&view, &host, &client(), SimTime(0), &inj, &mut report).unwrap();
-        shared.resolve_shared(&view, &host, &client(), SimTime(99), &inj, &mut report).unwrap();
-        shared.resolve_shared(&view, &host, &client(), SimTime(100), &inj, &mut report).unwrap();
-        assert_eq!((shared.hits(), shared.misses()), (1, 2));
-        assert_eq!(report.dns_cache_hits, 1);
-        assert_eq!(report.dns_cache_misses, 2);
-        assert_eq!(shared.take_observations().len(), 2);
+        lookup(&mut cache, &view, ids[0], 0, &mut report).unwrap();
+        lookup(&mut cache, &view, ids[0], 99, &mut report).unwrap();
+        assert_eq!(hits_misses(&report), (1, 1));
+        lookup(&mut cache, &view, ids[0], 100, &mut report).unwrap();
+        assert_eq!(hits_misses(&report), (1, 2));
+        // The refreshed entry is live through 199 and gone at 200.
+        lookup(&mut cache, &view, ids[0], 199, &mut report).unwrap();
+        assert_eq!(hits_misses(&report), (2, 2));
+        lookup(&mut cache, &view, ids[0], 200, &mut report).unwrap();
+        assert_eq!(hits_misses(&report), (2, 3));
+        assert_eq!(cache.take_id_observations().len(), 3);
     }
 
     #[test]
     fn shared_path_buffers_observations_instead_of_capturing() {
         let mut dns = DnsSim::new();
         dns.add_zone(zone("t.x.com", "1.0.0.1", "DE", 300)).unwrap();
-        let host = Domain::new("t.x.com");
+        let (domains, ids) = interned(&["t.x.com"]);
         let inj = FaultInjector::inactive();
         let mut report = DegradationReport::default();
 
         let mut cache = DnsCache::for_user(1, 2);
-        let view = dns.view();
-        let (ans, t_eff) = cache
-            .resolve_shared(&view, &host, &client(), SimTime(50), &inj, &mut report)
-            .unwrap();
+        let (ans, t_eff) = {
+            let view = dns.indexed_view(&domains);
+            let first = cache
+                .resolve_shared_id(&view, ids[0], &client(), SimTime(50), &inj, &mut report)
+                .unwrap();
+            // Hit within TTL: no new observation.
+            cache
+                .resolve_shared_id(&view, ids[0], &client(), SimTime(60), &inj, &mut report)
+                .unwrap();
+            first
+        };
         assert_eq!(t_eff, SimTime(50));
-        // Hit within TTL: no new observation.
-        cache.resolve_shared(&view, &host, &client(), SimTime(60), &inj, &mut report).unwrap();
         assert!(dns.pdns().is_empty(), "view resolution must not capture");
 
-        let obs = cache.take_observations();
+        let obs = cache.take_id_observations();
         assert_eq!(obs.len(), 1);
         assert_eq!(obs[0].ip, ans.ip);
-        dns.absorb_observations(&obs);
+        dns.absorb_id_observations(&obs, &domains);
+        let host = Domain::new("t.x.com");
         assert_eq!(dns.pdns().forward(&host).len(), 1);
         assert_eq!(dns.pdns().forward(&host)[0].count, 1);
-        assert!(cache.take_observations().is_empty(), "drain is one-shot");
+        assert!(cache.take_id_observations().is_empty(), "drain is one-shot");
     }
 
     #[test]
@@ -359,96 +271,168 @@ mod tests {
         // The paper's Sect. 5.1 dynamic: flip the zone to a new country and
         // the old answer lingers until the TTL runs out.
         let mut dns = DnsSim::new();
-        dns.add_zone(zone("t.x.com", "1.0.0.1", "US", 7200)).unwrap();
-        let mut cache = DnsCache::new();
-        let mut rng = StdRng::seed_from_u64(3);
-        let host = Domain::new("t.x.com");
+        dns.add_zone(zone("t.x.com", "1.0.0.1", "US", 7200))
+            .unwrap();
+        let (domains, ids) = interned(&["t.x.com"]);
+        let mut cache = DnsCache::for_user(3, 0);
+        let mut report = DegradationReport::default();
 
-        let before = cache.resolve(&mut dns, &host, &client(), SimTime(0), &mut rng).unwrap();
-        assert_eq!(before.country, cc!("US"));
+        let before = lookup(
+            &mut cache,
+            &dns.indexed_view(&domains),
+            ids[0],
+            0,
+            &mut report,
+        );
+        assert_eq!(before.unwrap().country, cc!("US"));
 
-        // Operator redirects to a German server ("GDPR-friendly DNS").
-        dns.add_zone(zone("t.x.com", "1.0.0.2", "DE", 7200)).unwrap();
+        // Operator redirects to a German server ("GDPR-friendly DNS"); the
+        // view is rebuilt over the new zone, the cache keeps its slot.
+        dns.add_zone(zone("t.x.com", "1.0.0.2", "DE", 7200))
+            .unwrap();
+        let view = dns.indexed_view(&domains);
 
         // Mid-TTL: still the stale US answer.
-        let stale = cache.resolve(&mut dns, &host, &client(), SimTime(3600), &mut rng).unwrap();
-        assert_eq!(stale.country, cc!("US"));
+        let stale = lookup(&mut cache, &view, ids[0], 3600, &mut report);
+        assert_eq!(stale.unwrap().country, cc!("US"));
         // Post-TTL: the redirection is live.
-        let fresh = cache.resolve(&mut dns, &host, &client(), SimTime(7200), &mut rng).unwrap();
-        assert_eq!(fresh.country, cc!("DE"));
+        let fresh = lookup(&mut cache, &view, ids[0], 7200, &mut report);
+        assert_eq!(fresh.unwrap().country, cc!("DE"));
     }
 
     #[test]
     fn eviction_and_live_count() {
+        // Entries expire per host: at t=500 the 100 s answer is gone (a
+        // miss) while the 1000 s one still answers from the cache.
         let mut dns = DnsSim::new();
         dns.add_zone(zone("a.x.com", "1.0.0.1", "DE", 100)).unwrap();
-        dns.add_zone(zone("b.x.com", "1.0.0.2", "DE", 1000)).unwrap();
-        let mut cache = DnsCache::new();
-        let mut rng = StdRng::seed_from_u64(4);
-        cache.resolve(&mut dns, &Domain::new("a.x.com"), &client(), SimTime(0), &mut rng).unwrap();
-        cache.resolve(&mut dns, &Domain::new("b.x.com"), &client(), SimTime(0), &mut rng).unwrap();
-        assert_eq!(cache.live_entries(SimTime(50)), 2);
-        assert_eq!(cache.live_entries(SimTime(500)), 1);
-        cache.evict_expired(SimTime(500));
-        assert_eq!(cache.live_entries(SimTime(50)), 1);
+        dns.add_zone(zone("b.x.com", "1.0.0.2", "DE", 1000))
+            .unwrap();
+        let (domains, ids) = interned(&["a.x.com", "b.x.com"]);
+        let view = dns.indexed_view(&domains);
+        let mut cache = DnsCache::for_user(4, 0);
+        let mut report = DegradationReport::default();
+        for &id in &ids {
+            lookup(&mut cache, &view, id, 0, &mut report).unwrap();
+        }
+        for &id in &ids {
+            lookup(&mut cache, &view, id, 50, &mut report).unwrap();
+        }
+        assert_eq!(hits_misses(&report), (2, 2));
+        lookup(&mut cache, &view, ids[1], 500, &mut report).unwrap();
+        assert_eq!(hits_misses(&report), (3, 2));
+        lookup(&mut cache, &view, ids[0], 500, &mut report).unwrap();
+        assert_eq!(hits_misses(&report), (3, 3));
     }
 
     #[test]
     fn nxdomain_is_not_cached() {
-        let mut dns = DnsSim::new();
-        let mut cache = DnsCache::new();
-        let mut rng = StdRng::seed_from_u64(5);
-        let host = Domain::new("missing.com");
+        let dns = DnsSim::new();
+        let (domains, ids) = interned(&["missing.com"]);
+        let view = dns.indexed_view(&domains);
+        let mut cache = DnsCache::for_user(5, 0);
+        let mut report = DegradationReport::default();
         for _ in 0..3 {
-            assert!(cache.resolve(&mut dns, &host, &client(), SimTime(0), &mut rng).is_err());
+            assert!(lookup(&mut cache, &view, ids[0], 0, &mut report).is_none());
         }
-        assert_eq!(cache.misses(), 3);
+        assert_eq!(hits_misses(&report), (0, 3));
+        assert!(cache.take_id_observations().is_empty());
+    }
+
+    /// The string-keyed reference cache: entries keyed by [`Domain`], the
+    /// miss-RNG seed from `stable_hash` of the host bytes, resolution
+    /// through [`reference::resolve_degraded`].
+    struct StringCache {
+        entries: HashMap<Domain, CacheEntry>,
+        lookup_seed: u64,
+        hits: u64,
+        misses: u64,
+        observations: Vec<(Domain, IpAddr, SimTime)>,
+    }
+
+    impl StringCache {
+        fn resolve(
+            &mut self,
+            dns: &DnsSim,
+            host: &Domain,
+            now: SimTime,
+            inj: &FaultInjector,
+            report: &mut DegradationReport,
+        ) -> Result<(ZoneServer, SimTime), FaultError> {
+            if let Some(entry) = self.entries.get(host) {
+                if now < entry.expires {
+                    self.hits += 1;
+                    report.dns_cache_hits += 1;
+                    return Ok((entry.answer, now));
+                }
+            }
+            self.misses += 1;
+            report.dns_cache_misses += 1;
+            let mut rng = StdRng::seed_from_u64(derive_stream_seed(
+                self.lookup_seed,
+                stable_hash(host.as_str().as_bytes()) ^ now.0.rotate_left(32),
+            ));
+            let (answer, t_eff, ttl) =
+                reference::resolve_degraded(dns, host, &client(), now, &mut rng, inj, report)?;
+            self.observations.push((host.clone(), answer.ip, t_eff));
+            let expires = t_eff.plus_secs(ttl as u64);
+            self.entries
+                .insert(host.clone(), CacheEntry { answer, expires });
+            Ok((answer, t_eff))
+        }
     }
 
     #[test]
     fn id_path_matches_string_path_bit_for_bit() {
-        use xborder_webgraph::DomainTable;
         // Same lookup stream, same hosts, same times: the dense id path
         // must produce identical answers, effective times, counters, and
         // (after id→domain replay) identical pDNS content.
         let mut dns = DnsSim::new();
         dns.add_zone(zone("a.x.com", "1.0.0.1", "DE", 100)).unwrap();
         dns.add_zone(zone("b.x.com", "1.0.0.2", "US", 300)).unwrap();
-        let mut domains = DomainTable::new();
+        let (domains, ids) = interned(&["a.x.com", "b.x.com"]);
         let hosts = [Domain::new("a.x.com"), Domain::new("b.x.com")];
-        let ids = [domains.intern(&hosts[0]), domains.intern(&hosts[1])];
-        let view = dns.view();
         let iview = dns.indexed_view(&domains);
         let inj = FaultInjector::inactive();
 
-        let mut string_cache = DnsCache::for_user(99, 3);
         let mut id_cache = DnsCache::for_user(99, 3);
+        let mut string_cache = StringCache {
+            entries: HashMap::new(),
+            lookup_seed: id_cache.lookup_seed,
+            hits: 0,
+            misses: 0,
+            observations: Vec::new(),
+        };
         let mut rep_s = DegradationReport::default();
         let mut rep_i = DegradationReport::default();
         for step in 0..40u64 {
             let h = (step % 2) as usize;
             let t = SimTime(step * 37);
             let a = string_cache
-                .resolve_shared(&view, &hosts[h], &client(), t, &inj, &mut rep_s)
+                .resolve(&dns, &hosts[h], t, &inj, &mut rep_s)
                 .unwrap();
             let b = id_cache
                 .resolve_shared_id(&iview, ids[h], &client(), t, &inj, &mut rep_i)
                 .unwrap();
             assert_eq!(a, b, "answers diverged at step {step}");
         }
-        assert_eq!((string_cache.hits(), string_cache.misses()), (id_cache.hits(), id_cache.misses()));
+        assert_eq!(
+            (string_cache.hits, string_cache.misses),
+            hits_misses(&rep_i)
+        );
         assert_eq!(rep_s.dns_cache_hits, rep_i.dns_cache_hits);
         assert_eq!(rep_s.dns_cache_misses, rep_i.dns_cache_misses);
 
-        let obs_s = string_cache.take_observations();
         let obs_i = id_cache.take_id_observations();
-        assert_eq!(obs_s.len(), obs_i.len());
-        let mut replay_s = DnsSim::new();
+        assert_eq!(string_cache.observations.len(), obs_i.len());
+        let mut replay_s = crate::PassiveDnsDb::new();
+        for (host, ip, t) in &string_cache.observations {
+            replay_s.observe(host, *ip, *t);
+        }
         let mut replay_i = DnsSim::new();
-        replay_s.absorb_observations(&obs_s);
         replay_i.absorb_id_observations(&obs_i, &domains);
         for h in &hosts {
-            assert_eq!(replay_s.pdns().forward(h), replay_i.pdns().forward(h));
+            assert_eq!(replay_s.forward(h), replay_i.pdns().forward(h));
         }
     }
 

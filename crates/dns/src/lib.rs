@@ -16,6 +16,13 @@
 //!    Forward queries complete a tracker's IP set (the paper's +2.78 %);
 //!    reverse queries tell whether an IP serves one domain (dedicated
 //!    tracking) or many (ad exchange), Fig. 4/5.
+//!
+//! Resolution has one path, shared by every driver: each client owns a
+//! [`DnsCache`] and resolves interned hosts through
+//! [`DnsCache::resolve_shared_id`] against a read-only
+//! [`IndexedZoneView`] (DESIGN.md §5d/§5f). Cache misses buffer
+//! [`PdnsIdObservation`]s, which the driver replays into the sensor
+//! ([`DnsSim::absorb_id_observations`]) in a fixed order.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,7 +36,7 @@ pub mod zone;
 pub use cache::DnsCache;
 pub use pdns::{PassiveDnsDb, PdnsRecord};
 pub use resolver::{ClientCtx, Resolver, ResolverKind};
-pub use sim::{DnsSim, IndexedZoneView, PdnsIdObservation, PdnsObservation, ZoneView};
+pub use sim::{DnsSim, IndexedZoneView, PdnsIdObservation};
 pub use zone::{MappingPolicy, ZoneEntry, ZoneServer};
 
 /// Errors produced by this crate.

@@ -126,14 +126,6 @@ impl PassiveDnsDb {
             .unwrap_or_default()
     }
 
-    /// Forward lookup restricted to records whose window overlaps `w`.
-    pub fn forward_in(&self, domain: &Domain, w: TimeWindow) -> Vec<&PdnsRecord> {
-        self.forward(domain)
-            .into_iter()
-            .filter(|r| r.window.overlaps(&w))
-            .collect()
-    }
-
     /// Distinct pay-level domains ("TLDs") seen on `ip` within `w`.
     pub fn tlds_on_ip(&self, ip: IpAddr, w: TimeWindow) -> Vec<Domain> {
         let mut v: Vec<Domain> = self
@@ -145,11 +137,6 @@ impl PassiveDnsDb {
         v.sort();
         v.dedup();
         v
-    }
-
-    /// The validity window of a specific (domain, ip) pair, if recorded.
-    pub fn window_of(&self, domain: &Domain, ip: IpAddr) -> Option<TimeWindow> {
-        self.index_of(domain, ip).map(|i| self.records[i].window)
     }
 
     /// Total number of distinct (domain, ip) pairs.
@@ -194,7 +181,7 @@ mod tests {
         let mut db = PassiveDnsDb::new();
         db.observe(&d("t.x.com"), ip("1.2.3.4"), SimTime(100));
         db.observe(&d("t.x.com"), ip("1.2.3.4"), SimTime(5000));
-        let w = db.window_of(&d("t.x.com"), ip("1.2.3.4")).unwrap();
+        let w = db.forward(&d("t.x.com"))[0].window;
         assert_eq!(w.start, SimTime(100));
         assert!(w.contains(SimTime(5000)));
         assert_eq!(db.len(), 1);
@@ -221,7 +208,12 @@ mod tests {
         let mut db = PassiveDnsDb::new();
         db.observe(&d("t.x.com"), ip("1.2.3.4"), SimTime(100));
         db.observe(&d("t.x.com"), ip("5.6.7.8"), SimTime(10_000));
-        let early = db.forward_in(&d("t.x.com"), TimeWindow::new(SimTime(0), SimTime(200)));
+        let w = TimeWindow::new(SimTime(0), SimTime(200));
+        let early: Vec<_> = db
+            .forward(&d("t.x.com"))
+            .into_iter()
+            .filter(|r| r.window.overlaps(&w))
+            .collect();
         assert_eq!(early.len(), 1);
         assert_eq!(early[0].ip, ip("1.2.3.4"));
         let tlds = db.tlds_on_ip(ip("5.6.7.8"), TimeWindow::new(SimTime(0), SimTime(200)));

@@ -3,12 +3,13 @@
 //! Two faces, split for the parallel study (DESIGN.md §5d):
 //!
 //! * [`DnsSim`] — the owning simulator: mutable zone registry plus the
-//!   passive-DNS sensor. Resolution through it captures into pDNS inline.
-//! * [`ZoneView`] — a shared, read-only view over the zone table that many
-//!   study shards can resolve against concurrently. It never touches the
-//!   sensor; callers collect [`PdnsObservation`]s and replay them into the
-//!   simulator in a deterministic order afterwards
-//!   ([`DnsSim::absorb_observations`]).
+//!   passive-DNS sensor.
+//! * [`IndexedZoneView`] — a dense, read-only, id-indexed view over the
+//!   zone table that many study shards resolve against concurrently
+//!   (DESIGN.md §5f). It never touches the sensor: per-user
+//!   [`crate::DnsCache`]s buffer [`PdnsIdObservation`]s and the driver
+//!   replays them into the simulator in a deterministic order afterwards
+//!   ([`DnsSim::absorb_id_observations`]).
 
 use crate::pdns::PassiveDnsDb;
 use crate::resolver::ClientCtx;
@@ -21,22 +22,10 @@ use xborder_faults::{stable_hash, DegradationReport, FaultError, FaultInjector};
 use xborder_netsim::time::SimTime;
 use xborder_webgraph::{Domain, DomainId, DomainTable};
 
-/// One resolution a sensor would have seen, buffered by a study shard and
-/// replayed into the central [`PassiveDnsDb`] after the shards join.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PdnsObservation {
-    /// The resolved name.
-    pub host: Domain,
-    /// The answer address.
-    pub ip: IpAddr,
-    /// Effective resolution time (query time plus any fault backoff).
-    pub time: SimTime,
-}
-
-/// A [`PdnsObservation`] with the host as an interned [`DomainId`]
-/// (DESIGN.md §5f). The study hot path buffers these — 16 bytes smaller
-/// and clone-free — and [`DnsSim::absorb_id_observations`] resolves ids
-/// back to domains at replay time.
+/// One resolution a sensor would have seen, with the host as an interned
+/// [`DomainId`] (DESIGN.md §5f). Study shards buffer these — clone-free —
+/// and [`DnsSim::absorb_id_observations`] resolves ids back to domains
+/// at replay time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PdnsIdObservation {
     /// The resolved name, interned in the world's [`DomainTable`].
@@ -48,106 +37,19 @@ pub struct PdnsIdObservation {
 }
 
 /// Authoritative DNS for a whole synthetic world, with a passive-DNS sensor
-/// recording every resolution.
+/// fed from replayed resolutions.
 #[derive(Debug, Default)]
 pub struct DnsSim {
     zones: HashMap<Domain, ZoneEntry>,
     pdns: PassiveDnsDb,
 }
 
-/// A read-only snapshot of the zone table, safe to share across study
-/// shards (`Copy`, `Sync`). Resolution through it is *uncaptured*: the
-/// caller is responsible for recording [`PdnsObservation`]s.
-#[derive(Debug, Clone, Copy)]
-pub struct ZoneView<'a> {
-    zones: &'a HashMap<Domain, ZoneEntry>,
-}
-
-impl<'a> ZoneView<'a> {
-    /// The zone registered for `host`, if any.
-    pub fn zone(&self, host: &Domain) -> Option<&'a ZoneEntry> {
-        self.zones.get(host)
-    }
-
-    /// Resolves `host` at time `t`, returning the answer together with the
-    /// zone's TTL (so stub resolvers never need a second zone lookup).
-    pub fn resolve<R: Rng + ?Sized>(
-        &self,
-        host: &Domain,
-        client: &ClientCtx,
-        t: SimTime,
-        rng: &mut R,
-    ) -> Result<(ZoneServer, u32), DnsError> {
-        let zone = self
-            .zones
-            .get(host)
-            .ok_or_else(|| DnsError::NxDomain(host.clone()))?;
-        let answer = zone
-            .select(client.resolver.location, t, rng)
-            .ok_or_else(|| DnsError::EmptyZone(host.clone()))?;
-        Ok((answer, zone.ttl_secs))
-    }
-
-    /// Fault-aware resolution: each attempt can time out per the plan's
-    /// `resolver_timeout` rate; a timed-out attempt backs off exponentially
-    /// on the *sim clock* (base `resolver_backoff_secs`, doubling per
-    /// retry) and retries up to `resolver_max_retries` more times. Returns
-    /// the answer, the effective resolution time (query time plus
-    /// accumulated backoff) and the zone TTL, or
-    /// [`FaultError::ResolverTimeout`] once the budget is exhausted.
-    ///
-    /// Under an inactive injector this is exactly [`ZoneView::resolve`]
-    /// (one attempt, no coins, no extra RNG draws).
-    pub fn resolve_degraded<R: Rng + ?Sized>(
-        &self,
-        host: &Domain,
-        client: &ClientCtx,
-        t: SimTime,
-        rng: &mut R,
-        inj: &FaultInjector,
-        report: &mut DegradationReport,
-    ) -> Result<(ZoneServer, SimTime, u32), FaultError> {
-        if !inj.is_active() {
-            report.dns_attempts += 1;
-            return self
-                .resolve(host, client, t, rng)
-                .map(|(a, ttl)| (a, t, ttl))
-                .map_err(|e| FaultError::Dns(e.to_string()));
-        }
-        let host_key = stable_hash(host.as_str().as_bytes());
-        let max_attempts = 1 + inj.plan().resolver_max_retries;
-        let mut t_eff = t;
-        for attempt in 0..max_attempts {
-            report.dns_attempts += 1;
-            if inj.resolver_timed_out(host_key, t.0, attempt) {
-                report.dns_timeouts += 1;
-                let backoff = inj.plan().resolver_backoff_secs << attempt;
-                report.dns_backoff_secs += backoff;
-                t_eff = SimTime(t_eff.0 + backoff);
-                continue;
-            }
-            if attempt > 0 {
-                report.dns_retries += 1;
-            }
-            return self
-                .resolve(host, client, t_eff, rng)
-                .map(|(a, ttl)| (a, t_eff, ttl))
-                .map_err(|e| FaultError::Dns(e.to_string()));
-        }
-        report.dns_failures += 1;
-        Err(FaultError::ResolverTimeout {
-            host: host.as_str().to_string(),
-            attempts: max_attempts,
-        })
-    }
-}
-
 /// A dense, id-indexed snapshot of the zone table (DESIGN.md §5f), built
 /// once per study by [`DnsSim::indexed_view`] and shared read-only across
 /// shards. Zone lookup is a `Vec` index instead of a string hash, and the
 /// per-host `stable_hash` the fault coins and miss-RNG seeds key on is
-/// precomputed — so the id path draws *exactly* the same coins and seeds
-/// as the string path without hashing a host per miss.
+/// precomputed, so nothing hashes a host per lookup. Resolution through
+/// it is *uncaptured*: the caller records the observations.
 #[derive(Debug, Clone)]
 pub struct IndexedZoneView<'a> {
     /// `DomainId → zone` (`None` for domains without a zone, e.g.
@@ -170,13 +72,9 @@ impl<'a> IndexedZoneView<'a> {
         self.host_hash[id.0 as usize]
     }
 
-    /// The interner this view was built against.
-    pub fn domains(&self) -> &'a DomainTable {
-        self.domains
-    }
-
-    /// Dense-path equivalent of [`ZoneView::resolve`]: same answers, same
-    /// RNG draws, no string hashing.
+    /// Resolves the interned host at time `t`, returning the answer
+    /// together with the zone's TTL (so stub resolvers never need a
+    /// second zone lookup).
     pub fn resolve_id<R: Rng + ?Sized>(
         &self,
         host_id: DomainId,
@@ -193,10 +91,18 @@ impl<'a> IndexedZoneView<'a> {
         Ok((answer, zone.ttl_secs))
     }
 
-    /// Dense-path equivalent of [`ZoneView::resolve_degraded`]: the fault
-    /// coins key on the precomputed [`IndexedZoneView::host_hash`], which
-    /// equals the string path's `stable_hash(host bytes)` — bit-identical
-    /// retry/backoff behaviour with zero per-call hashing.
+    /// Fault-aware resolution: each attempt can time out per the plan's
+    /// `resolver_timeout` rate (coins keyed on
+    /// [`IndexedZoneView::host_hash`]); a timed-out attempt backs off
+    /// exponentially on the *sim clock* (base `resolver_backoff_secs`,
+    /// doubling per retry) and retries up to `resolver_max_retries` more
+    /// times. Returns the answer, the effective resolution time (query
+    /// time plus accumulated backoff) and the zone TTL, or
+    /// [`FaultError::ResolverTimeout`] once the budget is exhausted.
+    ///
+    /// Under an inactive injector the timeout rate is zero, so this is one
+    /// [`IndexedZoneView::resolve_id`] attempt with no extra RNG draws —
+    /// what keeps `FaultPlan::none()` runs bit-identical.
     pub fn resolve_degraded_id<R: Rng + ?Sized>(
         &self,
         host_id: DomainId,
@@ -206,13 +112,6 @@ impl<'a> IndexedZoneView<'a> {
         inj: &FaultInjector,
         report: &mut DegradationReport,
     ) -> Result<(ZoneServer, SimTime, u32), FaultError> {
-        if !inj.is_active() {
-            report.dns_attempts += 1;
-            return self
-                .resolve_id(host_id, client, t, rng)
-                .map(|(a, ttl)| (a, t, ttl))
-                .map_err(|e| FaultError::Dns(e.to_string()));
-        }
         let host_key = self.host_hash(host_id);
         let max_attempts = 1 + inj.plan().resolver_max_retries;
         let mut t_eff = t;
@@ -254,7 +153,11 @@ fn build_indexed_view<'a>(
         by_id[id.0 as usize] = zones.get(d);
         host_hash[id.0 as usize] = stable_hash(d.as_str().as_bytes());
     }
-    IndexedZoneView { by_id, host_hash, domains }
+    IndexedZoneView {
+        by_id,
+        host_hash,
+        domains,
+    }
 }
 
 impl DnsSim {
@@ -270,11 +173,6 @@ impl DnsSim {
         }
         self.zones.insert(entry.host.clone(), entry);
         Ok(())
-    }
-
-    /// A read-only view over the zone table, shareable across threads.
-    pub fn view(&self) -> ZoneView<'_> {
-        ZoneView { zones: &self.zones }
     }
 
     /// Builds the dense id-indexed view for a study (DESIGN.md §5f): one
@@ -295,86 +193,14 @@ impl DnsSim {
         (build_indexed_view(&self.zones, domains), &mut self.pdns)
     }
 
-    /// Replays shard-buffered observations into the passive-DNS sensor.
-    /// Callers replay buffers in a fixed order (user order in the study) so
-    /// the database is identical for any shard layout.
-    pub fn absorb_observations(&mut self, obs: &[PdnsObservation]) {
-        for o in obs {
-            self.pdns.observe(&o.host, o.ip, o.time);
-        }
-    }
-
-    /// Replays shard-buffered id observations, resolving each interned
-    /// host back to its domain through `domains`. Same replay-order
-    /// contract as [`DnsSim::absorb_observations`].
+    /// Replays shard-buffered observations into the passive-DNS sensor,
+    /// resolving each interned host back to its domain through `domains`.
+    /// Callers replay buffers in a fixed order (user order in the study)
+    /// so the database is identical for any shard layout.
     pub fn absorb_id_observations(&mut self, obs: &[PdnsIdObservation], domains: &DomainTable) {
         for o in obs {
             self.pdns.observe(domains.domain(o.host), o.ip, o.time);
         }
-    }
-
-    /// Resolves `host` for a client at time `t`, recording the answer into
-    /// the passive-DNS database (sensors sit at production resolvers).
-    pub fn resolve<R: Rng + ?Sized>(
-        &mut self,
-        host: &Domain,
-        client: &ClientCtx,
-        t: SimTime,
-        rng: &mut R,
-    ) -> Result<ZoneServer, DnsError> {
-        self.resolve_with_ttl(host, client, t, rng).map(|(a, _)| a)
-    }
-
-    /// [`DnsSim::resolve`] returning the zone TTL alongside the answer, so
-    /// caching stub resolvers never need a second zone lookup.
-    pub fn resolve_with_ttl<R: Rng + ?Sized>(
-        &mut self,
-        host: &Domain,
-        client: &ClientCtx,
-        t: SimTime,
-        rng: &mut R,
-    ) -> Result<(ZoneServer, u32), DnsError> {
-        let (answer, ttl) = self.view().resolve(host, client, t, rng)?;
-        self.pdns.observe(host, answer.ip, t);
-        Ok((answer, ttl))
-    }
-
-    /// Fault-aware resolution: each attempt can time out per the plan's
-    /// `resolver_timeout` rate; a timed-out attempt backs off exponentially
-    /// on the *sim clock* (base `resolver_backoff_secs`, doubling per
-    /// retry) and retries up to `resolver_max_retries` more times. Returns
-    /// the answer plus the effective resolution time (query time plus
-    /// accumulated backoff), or [`FaultError::ResolverTimeout`] once the
-    /// budget is exhausted.
-    ///
-    /// Under an inactive injector this is exactly [`DnsSim::resolve`]
-    /// (one attempt, no coins, no extra RNG draws), which is what keeps
-    /// `FaultPlan::none()` runs bit-identical.
-    pub fn resolve_degraded<R: Rng + ?Sized>(
-        &mut self,
-        host: &Domain,
-        client: &ClientCtx,
-        t: SimTime,
-        rng: &mut R,
-        inj: &FaultInjector,
-        report: &mut DegradationReport,
-    ) -> Result<(ZoneServer, SimTime), FaultError> {
-        let (answer, t_eff, _) = self
-            .view()
-            .resolve_degraded(host, client, t, rng, inj, report)?;
-        self.pdns.observe(host, answer.ip, t_eff);
-        Ok((answer, t_eff))
-    }
-
-    /// Resolution without pDNS capture (cache hits, internal queries).
-    pub fn resolve_uncaptured<R: Rng + ?Sized>(
-        &self,
-        host: &Domain,
-        client: &ClientCtx,
-        t: SimTime,
-        rng: &mut R,
-    ) -> Result<ZoneServer, DnsError> {
-        self.view().resolve(host, client, t, rng).map(|(a, _)| a)
     }
 
     /// The zone registered for `host`, if any.
@@ -414,7 +240,11 @@ impl DnsSim {
         // Collect and sort first: the zone map has no stable iteration
         // order, and each entry consumes RNG coins — without sorting, two
         // worlds built from the same seed would diverge.
-        let mut observations: Vec<(Domain, std::net::IpAddr, Option<xborder_netsim::time::TimeWindow>)> = self
+        let mut observations: Vec<(
+            Domain,
+            std::net::IpAddr,
+            Option<xborder_netsim::time::TimeWindow>,
+        )> = self
             .zones
             .values()
             .flat_map(|z| z.servers.iter().map(|s| (z.host.clone(), s.ip, s.valid)))
@@ -440,11 +270,75 @@ impl DnsSim {
     }
 }
 
+/// The string-keyed reference the id path is checked against: a zone
+/// lookup by [`Domain`] and fault coins keyed on `stable_hash` of the
+/// host bytes, computed per call. Test-only; the product path is
+/// [`IndexedZoneView`].
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    /// One plain resolution: answer plus zone TTL.
+    pub(crate) fn resolve<R: Rng + ?Sized>(
+        dns: &DnsSim,
+        host: &Domain,
+        client: &ClientCtx,
+        t: SimTime,
+        rng: &mut R,
+    ) -> Result<(ZoneServer, u32), DnsError> {
+        let zone = dns
+            .zone(host)
+            .ok_or_else(|| DnsError::NxDomain(host.clone()))?;
+        let answer = zone
+            .select(client.resolver.location, t, rng)
+            .ok_or_else(|| DnsError::EmptyZone(host.clone()))?;
+        Ok((answer, zone.ttl_secs))
+    }
+
+    /// The fault retry/backoff loop over [`resolve`].
+    pub(crate) fn resolve_degraded<R: Rng + ?Sized>(
+        dns: &DnsSim,
+        host: &Domain,
+        client: &ClientCtx,
+        t: SimTime,
+        rng: &mut R,
+        inj: &FaultInjector,
+        report: &mut DegradationReport,
+    ) -> Result<(ZoneServer, SimTime, u32), FaultError> {
+        let host_key = stable_hash(host.as_str().as_bytes());
+        let max_attempts = 1 + inj.plan().resolver_max_retries;
+        let mut t_eff = t;
+        for attempt in 0..max_attempts {
+            report.dns_attempts += 1;
+            if inj.resolver_timed_out(host_key, t.0, attempt) {
+                report.dns_timeouts += 1;
+                let backoff = inj.plan().resolver_backoff_secs << attempt;
+                report.dns_backoff_secs += backoff;
+                t_eff = SimTime(t_eff.0 + backoff);
+                continue;
+            }
+            if attempt > 0 {
+                report.dns_retries += 1;
+            }
+            return resolve(dns, host, client, t_eff, rng)
+                .map(|(a, ttl)| (a, t_eff, ttl))
+                .map_err(|e| FaultError::Dns(e.to_string()));
+        }
+        report.dns_failures += 1;
+        Err(FaultError::ResolverTimeout {
+            host: host.as_str().to_string(),
+            attempts: max_attempts,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::DnsCache;
     use crate::zone::MappingPolicy;
     use rand::{rngs::StdRng, SeedableRng};
+    use xborder_faults::FaultPlan;
     use xborder_geo::{cc, CountryCode, WORLD};
     use xborder_netsim::ServerId;
 
@@ -474,24 +368,52 @@ mod tests {
         ClientCtx::with_isp_resolver(cc!("DE"), de.centroid())
     }
 
+    /// An interner holding `host` (as the world's domain table would).
+    fn interned(host: &str) -> (DomainTable, DomainId) {
+        let mut domains = DomainTable::new();
+        let id = domains.intern(&Domain::new(host));
+        (domains, id)
+    }
+
     #[test]
     fn resolve_records_into_pdns() {
+        // A cache miss buffers the observation; replaying it records the
+        // answer in the sensor.
         let mut dns = DnsSim::new();
-        dns.add_zone(zone("t.x.com", &[(0, "1.0.0.1", "DE"), (1, "1.0.1.1", "US")]))
+        dns.add_zone(zone(
+            "t.x.com",
+            &[(0, "1.0.0.1", "DE"), (1, "1.0.1.1", "US")],
+        ))
+        .unwrap();
+        let (domains, id) = interned("t.x.com");
+        let mut cache = DnsCache::for_user(1, 0);
+        let mut report = DegradationReport::default();
+        let (ans, _) = cache
+            .resolve_shared_id(
+                &dns.indexed_view(&domains),
+                id,
+                &de_client(),
+                SimTime(42),
+                &FaultInjector::inactive(),
+                &mut report,
+            )
             .unwrap();
-        let mut rng = StdRng::seed_from_u64(1);
-        let ans = dns.resolve(&Domain::new("t.x.com"), &de_client(), SimTime(42), &mut rng).unwrap();
         assert_eq!(ans.country, cc!("DE"));
+        dns.absorb_id_observations(&cache.take_id_observations(), &domains);
         let fwd = dns.pdns().forward(&Domain::new("t.x.com"));
         assert_eq!(fwd.len(), 1);
         assert_eq!(fwd[0].ip, ans.ip);
+        assert_eq!(fwd[0].window.start, SimTime(42));
     }
 
     #[test]
     fn nxdomain() {
-        let mut dns = DnsSim::new();
+        let dns = DnsSim::new();
+        let (domains, id) = interned("missing.com");
         let mut rng = StdRng::seed_from_u64(2);
-        let err = dns.resolve(&Domain::new("missing.com"), &de_client(), SimTime(0), &mut rng);
+        let err = dns
+            .indexed_view(&domains)
+            .resolve_id(id, &de_client(), SimTime(0), &mut rng);
         assert!(matches!(err, Err(DnsError::NxDomain(_))));
     }
 
@@ -510,9 +432,23 @@ mod tests {
     #[test]
     fn uncaptured_resolution_leaves_pdns_empty() {
         let mut dns = DnsSim::new();
-        dns.add_zone(zone("t.x.com", &[(0, "1.0.0.1", "DE")])).unwrap();
+        dns.add_zone(zone("t.x.com", &[(0, "1.0.0.1", "DE")]))
+            .unwrap();
+        let (domains, id) = interned("t.x.com");
+        let view = dns.indexed_view(&domains);
         let mut rng = StdRng::seed_from_u64(3);
-        dns.resolve_uncaptured(&Domain::new("t.x.com"), &de_client(), SimTime(0), &mut rng).unwrap();
+        view.resolve_id(id, &de_client(), SimTime(0), &mut rng)
+            .unwrap();
+        let mut report = DegradationReport::default();
+        view.resolve_degraded_id(
+            id,
+            &de_client(),
+            SimTime(0),
+            &mut rng,
+            &FaultInjector::inactive(),
+            &mut report,
+        )
+        .unwrap();
         assert!(dns.pdns().is_empty());
     }
 
@@ -523,17 +459,33 @@ mod tests {
         // zone operates two more the sensors should know about.
         let mut z = zone(
             "t.x.com",
-            &[(0, "1.0.0.1", "DE"), (1, "1.0.1.1", "US"), (2, "1.0.2.1", "SG")],
+            &[
+                (0, "1.0.0.1", "DE"),
+                (1, "1.0.1.1", "US"),
+                (2, "1.0.2.1", "SG"),
+            ],
         );
         z.policy = MappingPolicy::Pinned;
         dns.add_zone(z).unwrap();
-        let mut rng = StdRng::seed_from_u64(4);
-        for _ in 0..50 {
-            let a = dns.resolve(&Domain::new("t.x.com"), &de_client(), SimTime(10), &mut rng).unwrap();
-            assert_eq!(a.country, cc!("DE"));
+        let (domains, id) = interned("t.x.com");
+        let inj = FaultInjector::inactive();
+        let mut report = DegradationReport::default();
+        let mut observations = Vec::new();
+        {
+            let view = dns.indexed_view(&domains);
+            for user in 0..50 {
+                let mut cache = DnsCache::for_user(4, user);
+                let (a, _) = cache
+                    .resolve_shared_id(&view, id, &de_client(), SimTime(10), &inj, &mut report)
+                    .unwrap();
+                assert_eq!(a.country, cc!("DE"));
+                observations.extend(cache.take_id_observations());
+            }
         }
+        dns.absorb_id_observations(&observations, &domains);
         assert_eq!(dns.pdns().forward(&Domain::new("t.x.com")).len(), 1);
         // Global sensors see all three.
+        let mut rng = StdRng::seed_from_u64(4);
         dns.seed_global_pdns(SimTime(0), SimTime(1000), 1.0, &mut rng);
         assert_eq!(dns.pdns().forward(&Domain::new("t.x.com")).len(), 3);
     }
@@ -541,7 +493,8 @@ mod tests {
     #[test]
     fn seed_respects_coverage_zero() {
         let mut dns = DnsSim::new();
-        dns.add_zone(zone("t.x.com", &[(0, "1.0.0.1", "DE")])).unwrap();
+        dns.add_zone(zone("t.x.com", &[(0, "1.0.0.1", "DE")]))
+            .unwrap();
         let mut rng = StdRng::seed_from_u64(5);
         dns.seed_global_pdns(SimTime(0), SimTime(1000), 0.0, &mut rng);
         assert!(dns.pdns().is_empty());
@@ -549,16 +502,17 @@ mod tests {
 
     #[test]
     fn indexed_view_matches_string_view_bit_for_bit() {
-        use xborder_faults::{FaultInjector, FaultPlan};
         let mut dns = DnsSim::new();
-        dns.add_zone(zone("t.x.com", &[(0, "1.0.0.1", "DE"), (1, "1.0.1.1", "US")]))
-            .unwrap();
+        dns.add_zone(zone(
+            "t.x.com",
+            &[(0, "1.0.0.1", "DE"), (1, "1.0.1.1", "US")],
+        ))
+        .unwrap();
         let mut domains = DomainTable::new();
         // Intern an unwired domain first so the wired host's id is offset.
         let unwired = domains.intern(&Domain::new("nozone.example.com"));
         let host = Domain::new("t.x.com");
         let host_id = domains.intern(&host);
-        let view = dns.view();
         let iview = dns.indexed_view(&domains);
         assert_eq!(
             iview.host_hash(host_id),
@@ -571,8 +525,10 @@ mod tests {
         let mut r1 = StdRng::seed_from_u64(7);
         let mut r2 = r1.clone();
         for i in 0..50u64 {
-            let a = view.resolve(&host, &client, SimTime(i), &mut r1).unwrap();
-            let b = iview.resolve_id(host_id, &client, SimTime(i), &mut r2).unwrap();
+            let a = reference::resolve(&dns, &host, &client, SimTime(i), &mut r1).unwrap();
+            let b = iview
+                .resolve_id(host_id, &client, SimTime(i), &mut r2)
+                .unwrap();
             assert_eq!(a, b);
         }
         assert_eq!(r1.gen::<u64>(), r2.gen::<u64>());
@@ -584,8 +540,9 @@ mod tests {
         let mut r1 = StdRng::seed_from_u64(11);
         let mut r2 = r1.clone();
         for i in 0..200u64 {
-            let a = view.resolve_degraded(&host, &client, SimTime(i * 31), &mut r1, &inj, &mut rep_a);
-            let b = iview.resolve_degraded_id(host_id, &client, SimTime(i * 31), &mut r2, &inj, &mut rep_b);
+            let t = SimTime(i * 31);
+            let a = reference::resolve_degraded(&dns, &host, &client, t, &mut r1, &inj, &mut rep_a);
+            let b = iview.resolve_degraded_id(host_id, &client, t, &mut r2, &inj, &mut rep_b);
             match (a, b) {
                 (Ok(x), Ok(y)) => assert_eq!(x, y),
                 (Err(x), Err(y)) => assert_eq!(x.to_string(), y.to_string()),
@@ -600,16 +557,19 @@ mod tests {
 
     #[test]
     fn id_observations_replay_like_string_observations() {
-        let mut domains = DomainTable::new();
+        let (domains, id) = interned("t.x.com");
         let host = Domain::new("t.x.com");
-        let id = domains.intern(&host);
-        let mut via_string = DnsSim::new();
+        let ip: IpAddr = "1.0.0.1".parse().unwrap();
+        let mut direct = PassiveDnsDb::new();
+        direct.observe(&host, ip, SimTime(5));
         let mut via_id = DnsSim::new();
-        let obs_s = vec![PdnsObservation { host: host.clone(), ip: "1.0.0.1".parse().unwrap(), time: SimTime(5) }];
-        let obs_i = vec![PdnsIdObservation { host: id, ip: "1.0.0.1".parse().unwrap(), time: SimTime(5) }];
-        via_string.absorb_observations(&obs_s);
+        let obs_i = vec![PdnsIdObservation {
+            host: id,
+            ip,
+            time: SimTime(5),
+        }];
         via_id.absorb_id_observations(&obs_i, &domains);
-        assert_eq!(via_string.pdns().forward(&host), via_id.pdns().forward(&host));
+        assert_eq!(direct.forward(&host), via_id.pdns().forward(&host));
     }
 
     #[test]
@@ -618,18 +578,27 @@ mod tests {
         // in the public-DNS footprint); with a GR+IT zone the ISP-resolver
         // user maps home, the public-DNS one abroad.
         let mut dns = DnsSim::new();
-        dns.add_zone(zone("t.x.com", &[(0, "1.0.0.1", "GR"), (1, "1.0.1.1", "IT")]))
-            .unwrap();
+        dns.add_zone(zone(
+            "t.x.com",
+            &[(0, "1.0.0.1", "GR"), (1, "1.0.1.1", "IT")],
+        ))
+        .unwrap();
+        let (domains, id) = interned("t.x.com");
+        let view = dns.indexed_view(&domains);
         let gr = WORLD.country_or_panic(cc!("GR"));
         let mut rng = StdRng::seed_from_u64(6);
 
         let isp_user = ClientCtx::with_isp_resolver(cc!("GR"), gr.centroid());
-        let a = dns.resolve(&Domain::new("t.x.com"), &isp_user, SimTime(0), &mut rng).unwrap();
+        let (a, _) = view
+            .resolve_id(id, &isp_user, SimTime(0), &mut rng)
+            .unwrap();
         assert_eq!(a.country, cc!("GR"));
 
         let public_user = ClientCtx::with_public_resolver(cc!("GR"), gr.centroid());
         assert_ne!(public_user.resolver.country, cc!("GR"));
-        let b = dns.resolve(&Domain::new("t.x.com"), &public_user, SimTime(0), &mut rng).unwrap();
+        let (b, _) = view
+            .resolve_id(id, &public_user, SimTime(0), &mut rng)
+            .unwrap();
         // Egress PoP is Italian -> mapping prefers the IT server.
         assert_eq!(b.country, cc!("IT"));
     }

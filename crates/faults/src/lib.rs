@@ -581,28 +581,6 @@ pub struct StageTimings {
     /// caveats as `netflow_generate_ms`.
     #[serde(default)]
     pub netflow_match_ms: f64,
-    /// High-water mark of logical bytes resident in the streaming
-    /// driver's segment store (DESIGN.md §5g/§5j) — the only driver that
-    /// keeps one; 0 for the batch and out-of-core drivers. The value is
-    /// thread-budget invariant (the store is driven from the sequential
-    /// segment loop) but depends on the chunk-size and resident-window
-    /// knobs, so like every field here it is observational: zero
-    /// `timings` before comparing reports.
-    #[serde(default)]
-    pub peak_resident_bytes: u64,
-    /// Segments the streaming driver evicted from its resident window
-    /// (same caveats).
-    #[serde(default)]
-    pub segments_spilled: u64,
-    /// Segments the streaming driver reloaded from spill files (same
-    /// caveats).
-    #[serde(default)]
-    pub segments_reloaded: u64,
-    /// Wall-clock the streaming driver spent pushing segments into its
-    /// store and taking them back (encoding/writing/reading spill files
-    /// when a window is set; same caveats as the other `_ms` fields).
-    #[serde(default)]
-    pub segment_io_ms: f64,
 }
 
 /// Cumulative allocation counters read from an installed probe:

@@ -16,7 +16,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::net::{IpAddr, Ipv4Addr};
 use xborder_browser::{LoggedRequest, RenderConfig, RenderEngine, User, UserId, VisitSampler};
-use xborder_dns::{DnsCache, DnsSim, IndexedZoneView, PdnsIdObservation, ResolverKind};
+use xborder_dns::{DnsCache, IndexedZoneView, PdnsIdObservation, ResolverKind};
 use xborder_faults::{DegradationReport, FaultInjector};
 use xborder_geo::WORLD;
 use xborder_netsim::time::{SimTime, SECS_PER_DAY};
@@ -129,24 +129,33 @@ fn background_flow<R: Rng + ?Sized>(t: SimTime, sub_ip: Ipv4Addr, rng: &mut R) -
     }
 }
 
-/// Generates one sampled 24-hour snapshot for an ISP.
-pub fn generate_snapshot<R: Rng>(
+/// The per-view generation loop behind both entry points. Each sampled
+/// page view is an ephemeral subscriber with a fresh stub [`DnsCache`]
+/// (the paper's per-client caching) whose lookup streams hash-derive from
+/// `(cell_seed, view index)`; its renders resolve against the shared
+/// read-only [`IndexedZoneView`]. `emit(flow, is_web)` sees every record
+/// in order: the view's rendered requests as web flows, then its
+/// background flows. All other randomness is one sequential stream
+/// seeded from `cell_seed`. Returns the pDNS observations the caches
+/// buffered, in view order.
+fn for_each_flow(
     profile: &IspProfile,
     cfg: &SnapshotConfig,
     graph: &WebGraph,
-    dns: &mut DnsSim,
-    rng: &mut R,
-) -> Snapshot {
+    view: &IndexedZoneView<'_>,
+    cell_seed: u64,
+    mut emit: impl FnMut(&FlowRecord, bool),
+) -> Vec<PdnsIdObservation> {
     let engine = RenderEngine::new(graph, cfg.render);
     let mut sampler = VisitSampler::new();
     let country = WORLD.country_or_panic(profile.country);
-
-    let mut snapshot = Snapshot::default();
-    let mut scratch: Vec<LoggedRequest> = Vec::new();
     let inj = FaultInjector::inactive();
-    let mut report = DegradationReport::default();
+    let mut scratch_report = DegradationReport::default();
+    let mut scratch: Vec<LoggedRequest> = Vec::new();
+    let mut observations = Vec::new();
+    let mut rng = StdRng::seed_from_u64(cell_seed);
 
-    for _ in 0..cfg.n_page_views {
+    for view_idx in 0..cfg.n_page_views {
         // Ephemeral subscriber for this sampled view.
         let on_mobile = match profile.access {
             AccessKind::Broadband => false,
@@ -155,119 +164,6 @@ pub fn generate_snapshot<R: Rng>(
         };
         // Mobile devices use the carrier resolver; broadband users use
         // public DNS at the ISP's measured share.
-        let resolver_kind = if on_mobile || rng.gen::<f64>() >= profile.public_dns_share {
-            ResolverKind::IspLocal
-        } else {
-            ResolverKind::PublicAnycast
-        };
-        let user = User {
-            id: UserId(0),
-            country: profile.country,
-            location: country.centroid().jitter(country.radius_km * 0.8, rng),
-            resolver_kind,
-            activity: 1.0,
-            interaction_p: 0.7,
-        };
-        let t = SimTime(cfg.day_start.0 + rng.gen_range(0..SECS_PER_DAY));
-        let pid = sampler.sample(
-            profile.country,
-            graph,
-            cfg.home_visit_share,
-            cfg.foreign_site_damping,
-            rng,
-        );
-        let publisher = graph.publisher(pid);
-        let sub_ip = subscriber_ip(rng);
-
-        scratch.clear();
-        engine.render_visit_degraded(
-            &user,
-            publisher,
-            t,
-            dns,
-            &mut scratch,
-            rng,
-            &inj,
-            &mut report,
-        );
-        for req in &scratch {
-            if let Some(flow) = flow_from_request(req, sub_ip, rng) {
-                snapshot.flows.push(flow);
-                snapshot.n_web_flows += 1;
-            }
-        }
-        // Background noise.
-        let n_bg = cfg.background_per_view.floor() as usize
-            + usize::from(rng.gen::<f64>() < cfg.background_per_view.fract());
-        for _ in 0..n_bg {
-            snapshot.flows.push(background_flow(t, sub_ip, rng));
-        }
-    }
-    snapshot
-}
-
-/// Tallies of one block-mode snapshot generation (the flows themselves
-/// stream through the `on_block` callback and are never held whole).
-#[derive(Debug, Default)]
-pub struct SnapshotBlocksOutput {
-    /// Total sampled flows emitted (web + background).
-    pub n_flows: u64,
-    /// Flows that came from rendered third-party requests.
-    pub n_web_flows: u64,
-    /// pDNS observations the per-view stub caches buffered, in view
-    /// order, for deterministic central replay
-    /// ([`DnsSim::absorb_id_observations`]).
-    pub id_observations: Vec<PdnsIdObservation>,
-}
-
-/// Block-mode snapshot generation: the scaled ISP-study path.
-///
-/// Same traffic model as [`generate_snapshot`], restructured for scale and
-/// sharding (DESIGN.md §5i):
-///
-/// * Flows are emitted as columnar [`FlowBlock`]s through `on_block` —
-///   resident memory is one block, not the day's `Vec<FlowRecord>`.
-/// * DNS runs read-only: renders resolve against the shared
-///   [`IndexedZoneView`] through a fresh per-view [`DnsCache`] (each
-///   sampled view is an ephemeral subscriber with an empty stub cache,
-///   the paper's per-client caching), and the observations a production
-///   resolver's sensor would have recorded are buffered for replay in
-///   canonical order after the sharded join.
-/// * All randomness comes from `cell_seed`: one sequential generation
-///   stream per (ISP, day) cell, plus hash-derived per-view lookup
-///   streams inside the caches. Nothing depends on `block_len` except
-///   where block boundaries fall, so any block size yields the identical
-///   record stream — and any thread that owns the whole cell reproduces
-///   it bit for bit.
-pub fn generate_snapshot_blocks(
-    profile: &IspProfile,
-    cfg: &SnapshotConfig,
-    graph: &WebGraph,
-    view: &IndexedZoneView<'_>,
-    cell_seed: u64,
-    block_len: usize,
-    mut on_block: impl FnMut(&FlowBlock),
-) -> SnapshotBlocksOutput {
-    let engine = RenderEngine::new(graph, cfg.render);
-    let mut sampler = VisitSampler::new();
-    let country = WORLD.country_or_panic(profile.country);
-    let inj = FaultInjector::inactive();
-    let mut scratch_report = DegradationReport::default();
-
-    let cap = block_len.max(1);
-    let mut out = SnapshotBlocksOutput::default();
-    let mut scratch: Vec<LoggedRequest> = Vec::new();
-    let mut block = FlowBlock::with_capacity(cap);
-    let mut rng = StdRng::seed_from_u64(cell_seed);
-
-    for view_idx in 0..cfg.n_page_views {
-        // Ephemeral subscriber for this sampled view (same coins, in the
-        // same order, as the per-record generator).
-        let on_mobile = match profile.access {
-            AccessKind::Broadband => false,
-            AccessKind::Mobile => true,
-            AccessKind::Mixed { mobile_share } => rng.gen::<f64>() < mobile_share,
-        };
         let resolver_kind = if on_mobile || rng.gen::<f64>() >= profile.public_dns_share {
             ResolverKind::IspLocal
         } else {
@@ -292,8 +188,6 @@ pub fn generate_snapshot_blocks(
         let publisher = graph.publisher(pid);
         let sub_ip = subscriber_ip(&mut rng);
 
-        // A fresh stub cache per ephemeral subscriber; its lookup streams
-        // hash-derive from (cell_seed, view index), never from `rng`.
         let mut cache = DnsCache::for_user(cell_seed, view_idx as u64);
         scratch.clear();
         engine.render_visit_cached(
@@ -309,40 +203,100 @@ pub fn generate_snapshot_blocks(
         );
         for req in &scratch {
             if let Some(flow) = flow_from_request(req, sub_ip, &mut rng) {
-                out.n_web_flows += 1;
-                out.n_flows += 1;
-                block.push_record(&flow);
-                if block.len() >= cap {
-                    on_block(&block);
-                    block.clear();
-                }
+                emit(&flow, true);
             }
         }
-        out.id_observations.extend(cache.take_id_observations());
+        observations.extend(cache.take_id_observations());
 
+        // Background noise.
         let n_bg = cfg.background_per_view.floor() as usize
             + usize::from(rng.gen::<f64>() < cfg.background_per_view.fract());
         for _ in 0..n_bg {
-            let flow = background_flow(t, sub_ip, &mut rng);
-            out.n_flows += 1;
-            block.push_record(&flow);
-            if block.len() >= cap {
-                on_block(&block);
-                block.clear();
-            }
+            emit(&background_flow(t, sub_ip, &mut rng), false);
         }
     }
+    observations
+}
+
+/// Generates one sampled 24-hour snapshot for an ISP as a `Vec` of
+/// records: the record stream of [`generate_snapshot_blocks`] for the
+/// same `cell_seed`, collected whole (its pDNS observations are dropped).
+pub fn generate_snapshot(
+    profile: &IspProfile,
+    cfg: &SnapshotConfig,
+    graph: &WebGraph,
+    view: &IndexedZoneView<'_>,
+    cell_seed: u64,
+) -> Snapshot {
+    let mut snapshot = Snapshot::default();
+    for_each_flow(profile, cfg, graph, view, cell_seed, |flow, web| {
+        snapshot.flows.push(*flow);
+        snapshot.n_web_flows += usize::from(web);
+    });
+    snapshot
+}
+
+/// Tallies of one block-mode snapshot generation (the flows themselves
+/// stream through the `on_block` callback and are never held whole).
+#[derive(Debug, Default)]
+pub struct SnapshotBlocksOutput {
+    /// Total sampled flows emitted (web + background).
+    pub n_flows: u64,
+    /// Flows that came from rendered third-party requests.
+    pub n_web_flows: u64,
+    /// pDNS observations the per-view stub caches buffered, in view
+    /// order, for deterministic central replay
+    /// ([`xborder_dns::DnsSim::absorb_id_observations`]).
+    pub id_observations: Vec<PdnsIdObservation>,
+}
+
+/// Block-mode snapshot generation: the scaled ISP-study path
+/// (DESIGN.md §5i).
+///
+/// * Flows are emitted as columnar [`FlowBlock`]s through `on_block` —
+///   resident memory is one block, not the day's `Vec<FlowRecord>`.
+/// * DNS runs read-only (see `for_each_flow`): the observations a
+///   production resolver's sensor would have recorded are buffered for
+///   replay in canonical order after the sharded join.
+/// * All randomness comes from `cell_seed`. Nothing depends on
+///   `block_len` except where block boundaries fall, so any block size
+///   yields the identical record stream — and any thread that owns the
+///   whole cell reproduces it bit for bit.
+pub fn generate_snapshot_blocks(
+    profile: &IspProfile,
+    cfg: &SnapshotConfig,
+    graph: &WebGraph,
+    view: &IndexedZoneView<'_>,
+    cell_seed: u64,
+    block_len: usize,
+    mut on_block: impl FnMut(&FlowBlock),
+) -> SnapshotBlocksOutput {
+    let cap = block_len.max(1);
+    let mut block = FlowBlock::with_capacity(cap);
+    let (mut n_flows, mut n_web_flows) = (0, 0);
+    let id_observations = for_each_flow(profile, cfg, graph, view, cell_seed, |flow, web| {
+        n_flows += 1;
+        n_web_flows += u64::from(web);
+        block.push_record(flow);
+        if block.len() >= cap {
+            on_block(&block);
+            block.clear();
+        }
+    });
     if !block.is_empty() {
         on_block(&block);
     }
-    out
+    SnapshotBlocksOutput {
+        n_flows,
+        n_web_flows,
+        id_observations,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::{rngs::StdRng, SeedableRng};
-    use xborder_dns::{MappingPolicy, ZoneEntry, ZoneServer};
+    use xborder_dns::{DnsSim, MappingPolicy, ZoneEntry, ZoneServer};
     use xborder_geo::CountryCode;
     use xborder_netsim::ServerId;
     use xborder_webgraph::{generate, WebGraphConfig};
@@ -380,7 +334,8 @@ mod tests {
             n_page_views: 200,
             ..Default::default()
         };
-        generate_snapshot(&profile, &cfg, &graph, &mut dns, &mut rng)
+        let view = dns.indexed_view(graph.domains());
+        generate_snapshot(&profile, &cfg, &graph, &view, seed)
     }
 
     #[test]
@@ -473,5 +428,27 @@ mod tests {
         assert_eq!(out_a.n_web_flows, out_c.n_web_flows);
         assert_eq!(out_a.id_observations, out_b.id_observations);
         assert_eq!(out_a.id_observations, out_c.id_observations);
+    }
+
+    #[test]
+    fn snapshot_collects_the_block_stream() {
+        let (all, out) = blocks_for("DE-Mobile", 13, 256);
+        let mut rng = StdRng::seed_from_u64(13);
+        let graph = generate(&WebGraphConfig::small(), &mut rng);
+        let mut dns = DnsSim::new();
+        wire_all(&graph, &mut dns);
+        let profile = IspProfile::by_name("DE-Mobile").unwrap();
+        let cfg = SnapshotConfig {
+            n_page_views: 150,
+            ..Default::default()
+        };
+        let view = dns.indexed_view(graph.domains());
+        let snap = generate_snapshot(&profile, &cfg, &graph, &view, 13);
+        assert_eq!(snap.n_web_flows as u64, out.n_web_flows);
+        let mut collected = FlowBlock::default();
+        for f in &snap.flows {
+            collected.push_record(f);
+        }
+        assert_eq!(collected, all);
     }
 }

@@ -99,7 +99,7 @@ impl Url {
         })
     }
 
-    /// Parses a URL string produced by [`Url::to_string`]. Not a general
+    /// Parses a URL string produced by `Url::to_string`. Not a general
     /// RFC 3986 parser — just enough for round-tripping simulator URLs and
     /// for tests feeding hand-written inputs.
     pub fn parse(s: &str) -> Option<Url> {

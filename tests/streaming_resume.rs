@@ -19,8 +19,7 @@
 //! 3. **Corruption matrix.** A truncated blob, a bit-flipped blob, a
 //!    version-bumped manifest and a mismatched world seed each refuse
 //!    resume with the precise typed error — and leave every byte of the
-//!    checkpoint directory untouched. A failing spill store surfaces as
-//!    its own typed error, never as checkpoint corruption.
+//!    checkpoint directory untouched.
 
 use std::collections::HashMap;
 use std::fs;
@@ -442,107 +441,4 @@ fn corruption_matrix_refuses_with_typed_errors_and_leaves_dir_untouched() {
     // And the untouched directory still resumes cleanly afterwards.
     run_streaming(cfg(), &plan, &stream, &KillSwitch::none()).expect("pristine dir still valid");
     let _ = fs::remove_dir_all(&dir);
-}
-
-/// The resident window is the same kind of knob as chunking (DESIGN.md
-/// §5j): any window × chunk size lands on the batch fingerprint, and the
-/// spill machinery really engages — the store reports spilled segments —
-/// without leaking into the degradation report's clean/degraded verdict.
-#[test]
-fn resident_window_is_invisible_in_output() {
-    let seed = 11u64;
-    let plan = FaultPlan::aggressive(seed);
-    let (batch_fp, batch_report) = run_batch(tiny_config(seed).with_threads(1), &plan);
-
-    for window in [1usize, 2] {
-        for chunk_users in [2usize, 5] {
-            let spill = tmp_dir(&format!("window-{window}-{chunk_users}"));
-            let mut world = World::build(tiny_config(seed).with_threads(1));
-            let stream =
-                StreamConfig::in_memory(chunk_users).with_resident_window(window, &spill);
-            let (out, mut report) =
-                run_extension_pipeline_streaming(&mut world, &plan, &stream, &KillSwitch::none())
-                    .expect("spilling streaming run succeeds");
-            // 10 users / chunk_users segments, window resident: the rest
-            // must have gone through the spill path (and come back for the
-            // downstream passes).
-            let expected_spills = (10usize.div_ceil(chunk_users)).saturating_sub(window) as u64;
-            assert!(
-                report.timings.segments_spilled >= expected_spills,
-                "window {window}, chunk {chunk_users}: expected >= {expected_spills} spills, \
-                 saw {:?}",
-                report.timings
-            );
-            assert!(report.timings.segments_reloaded >= expected_spills);
-            assert!(report.timings.peak_resident_bytes > 0);
-            report.timings = StageTimings::default();
-            assert_eq!(
-                fingerprint(&out),
-                batch_fp,
-                "outputs drifted at window {window}, chunk {chunk_users}"
-            );
-            assert_eq!(report, batch_report);
-            let _ = fs::remove_dir_all(&spill);
-        }
-    }
-}
-
-/// Crash-with-spill: kill a durable run mid-stream while the resident
-/// window is bounded, then resume on the same checkpoint directory (fresh
-/// spill scratch — spill files are disposable). Replayed chunks flow
-/// through the same segment store, so the resumed run must both spill
-/// again and land on batch.
-#[test]
-fn kill_and_resume_with_spill_window_matches_batch() {
-    let seed = 11u64;
-    let plan = FaultPlan::aggressive(seed);
-    let (batch_fp, batch_report) = run_batch(tiny_config(seed).with_threads(1), &plan);
-
-    let ckpt = tmp_dir("spill-kill-ckpt");
-    let spill = tmp_dir("spill-kill-scratch");
-    let stream = StreamConfig::durable(3, &ckpt).with_resident_window(1, &spill);
-
-    // Kill mid-stream, after a couple of chunks are durable.
-    let kill = KillSwitch::at_label("chunk-2:begin");
-    let mut world = World::build(tiny_config(seed).with_threads(1));
-    match run_extension_pipeline_streaming(&mut world, &plan, &stream, &kill) {
-        Err(StreamError::Killed { .. }) => {}
-        Err(other) => panic!("expected a kill, got {other:?}"),
-        Ok(_) => panic!("expected a kill, run completed"),
-    }
-
-    let mut world = World::build(tiny_config(seed).with_threads(1));
-    let (out, mut report) =
-        run_extension_pipeline_streaming(&mut world, &plan, &stream, &KillSwitch::none())
-            .expect("resume with spill window succeeds");
-    assert!(
-        report.timings.segments_spilled > 0,
-        "resumed run must exercise the spill path: {:?}",
-        report.timings
-    );
-    report.timings = StageTimings::default();
-    assert_eq!(fingerprint(&out), batch_fp, "outputs drifted after spilling resume");
-    assert_eq!(report, batch_report);
-    let _ = fs::remove_dir_all(&ckpt);
-    let _ = fs::remove_dir_all(&spill);
-}
-
-/// A spill-store failure is its own typed error, not checkpoint
-/// corruption: spill files are disposable scratch. A spill directory that
-/// is really a regular file makes the first eviction fail.
-#[test]
-fn spill_failure_is_a_typed_spill_error() {
-    let seed = 11u64;
-    let scratch = tmp_dir("spill-on-file");
-    fs::create_dir_all(&scratch).unwrap();
-    let not_a_dir = scratch.join("regular-file");
-    fs::write(&not_a_dir, b"not a directory").unwrap();
-    let stream = StreamConfig::in_memory(3).with_resident_window(1, &not_a_dir);
-    match run_streaming(tiny_config(seed), &FaultPlan::none(), &stream, &KillSwitch::none()) {
-        Err(StreamError::Spill { detail }) => {
-            assert!(detail.contains("regular-file"), "{detail}")
-        }
-        other => panic!("expected a spill error, got {other:?}"),
-    }
-    let _ = fs::remove_dir_all(&scratch);
 }
