@@ -206,9 +206,11 @@ fi
 if [ -n "$baseline" ]; then
     echo "== bench regression check (study/geolocate/total/allocs/streaming vs committed baseline) =="
     # An unparseable baseline or fresh bench doc fails the gate; a >20%
-    # wall-clock regression warns (CI boxes are noisy), a >20% allocation
-    # jump is deterministic and still warns loudly for triage.
-    python3 - "$baseline" BENCH_pipeline.json <<'EOF'
+    # wall-clock regression warns (CI boxes are noisy). The threads=1
+    # study_allocs count is deterministic (back-to-back runs on one tree
+    # agree exactly), so any difference from the committed doc fails.
+    gate=0
+    python3 - "$baseline" BENCH_pipeline.json <<'EOF' || gate=$?
 import json, sys
 
 def load(path):
@@ -226,8 +228,17 @@ def seq_run(doc):
 
 old_doc, new_doc = load(sys.argv[1]), load(sys.argv[2])
 old, new = seq_run(old_doc), seq_run(new_doc)
-# study_allocs is deterministic (counting allocator over a fixed workload),
-# so a >20% jump there means an allocation crept back into the hot path.
+# study_allocs counts the allocations of the study simulation under a
+# counting allocator over a fixed workload on one thread: it has no noise,
+# so any change is a change of the code (re-record the doc with it).
+o, n = old.get("study_allocs"), new.get("study_allocs")
+if o is None or n is None:
+    print("FATAL: threads=1 study_allocs missing from the committed or fresh doc")
+    sys.exit(1)
+if o != n:
+    print(f"FATAL: threads=1 study_allocs {o:,} -> {n:,} differs from the committed doc")
+    sys.exit(1)
+print(f"bench check: threads=1 study_allocs {n:,}, equal to the committed doc")
 pairs = [(stage, old.get(stage), new.get(stage))
          for stage in ("study_ms", "geolocate_ms", "total_ms", "study_allocs",
                        "netflow_generate_ms", "netflow_match_ms")]
@@ -255,7 +266,11 @@ for stage, o, n in pairs:
         print(f"bench check: {stage} {o:,.1f} -> {n:,.1f} "
               f"({n / o - 1:+.0%}), within the 20% budget")
 EOF
+    # Restore the committed document, pass or fail; the smoke doc is
+    # CI-only.
+    cp "$baseline" BENCH_pipeline.json
     rm -f "$baseline"
+    [ "$gate" -eq 0 ] || exit "$gate"
 fi
 
 echo "== resume smoke (kill at chunk 2 mid-write, resume, fingerprint vs batch) =="

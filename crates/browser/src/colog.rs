@@ -1,9 +1,9 @@
-//! Columnar study-log segments (SoA layout for out-of-core worlds).
+//! Columnar study-log segments (the SoA layout of checkpoint chunks).
 //!
 //! The AoS study log — `Vec<LoggedRequest>` with a `Box<str>` URL per
-//! record — is what caps in-RAM worlds near 10⁵ users. This module is the
-//! log's columnar twin, one [`SegmentBlock`] per driver chunk, following
-//! the PR 9 `FlowBlock` idiom: every `LoggedRequest` field becomes a
+//! record — is what the drivers run on. This module is the log's
+//! columnar form, one [`SegmentBlock`] per checkpointed chunk, following
+//! the netflow `FlowBlock` idiom: every `LoggedRequest` field becomes a
 //! dense column keyed by row index, URLs live in one shared byte arena
 //! with an offset column, and the rare IPv6 addresses sit in sorted side
 //! rows next to a packed IPv4 column. A block round-trips exactly to the
@@ -11,11 +11,13 @@
 //! counts) it was built from, so storing blocks instead of AoS chunks is
 //! invisible to every fingerprint.
 //!
-//! The streaming driver keeps its committed segments as blocks
-//! (DESIGN.md §5j), and the byte encoding is the checkpoint chunk-blob
-//! payload: it leads with exact column counts so decoding pre-reserves
-//! every column and the downstream interners can size themselves before
-//! ingesting the segment (no rehash spikes mid-chunk). Bytes read back
+//! Blocks are a checkpoint-file format only (DESIGN.md §5j): the drivers
+//! build one when they append a chunk to a checkpoint and turn one back
+//! into rows when they replay it; in memory, segments stay rows. The
+//! byte encoding is the checkpoint chunk-blob payload: it leads with
+//! exact column counts so decoding pre-reserves every column and the
+//! downstream interners can size themselves before ingesting the
+//! segment (no rehash spikes mid-chunk). Bytes read back
 //! from disk are untrusted: [`SegmentBlock::decode_bytes`] validates
 //! every offset, referrer and side-table row before a block exists.
 //! Blocks also implement [`xborder_webgraph::SegmentPayload`], so a

@@ -351,8 +351,8 @@ pub struct StudyChunk {
 /// generated population, the drawn `study_seed`, the population-wide mean
 /// activity, and the read-only indexed DNS view.
 ///
-/// Built once per run (batch or streaming); [`StudyStream::simulate_chunk`]
-/// then simulates any contiguous user range independently. Chunking is a
+/// Built once per run; [`StudyStream::simulate_chunk`] then simulates any
+/// contiguous user range independently. Chunking is a
 /// pure availability knob for the same reason the thread budget is a pure
 /// performance knob (DESIGN.md §5d): each user draws from a private
 /// hash-derived RNG stream and resolves through a private cache, so a
@@ -367,10 +367,11 @@ pub struct StudyStream<'a> {
 /// DNS view, `study_seed` and the population-wide mean activity.
 ///
 /// [`StudyStream`] owns one next to its materialized population; the
-/// out-of-core driver (`xborder::worldscale`) builds one directly and
-/// feeds it regenerated user segments, never holding the population —
-/// both paths run the same [`StudyCtx::simulate_users`], so segmenting
-/// cannot change a single byte of output.
+/// `xborder` segment loop builds one directly and feeds it each
+/// segment's users (a slice of a materialized population, or a range
+/// regenerated out of core, never holding the population) — both paths
+/// run the same [`StudyCtx::simulate_users`], so segmenting cannot
+/// change a single byte of output.
 pub struct StudyCtx<'a> {
     cfg: &'a StudyConfig,
     graph: &'a WebGraph,
@@ -551,9 +552,16 @@ impl<'a> StudyStream<'a> {
 }
 
 /// Runs the full study: generates the population, simulates every visit,
-/// and returns the dataset — the parallel study driver (DESIGN.md §5d).
-/// Every resolution's pDNS observation is replayed into `dns`'s
-/// passive-DNS sensor. `threads == 1` is the sequential run.
+/// and returns the dataset (DESIGN.md §5d). Every resolution's pDNS
+/// observation is replayed into `dns`'s passive-DNS sensor.
+/// `threads == 1` is the sequential run.
+///
+/// This is not the product's study driver: every `xborder` pipeline runs
+/// the study through the segment loop in its `stream` module, which
+/// calls [`StudyCtx::simulate_users`] per segment. This function is the
+/// study as one standalone call, kept as an independent route to the
+/// same dataset (the benchmark's per-layer run checks the product
+/// against it).
 ///
 /// Two fault layers apply:
 ///
@@ -592,12 +600,10 @@ impl<'a> StudyStream<'a> {
 ///    commutative sums. Post-hoc log faults key on global request index
 ///    and run after the merge, so they see identical state at any budget.
 ///
-/// Structurally this is the streaming ingestion path run as one
-/// whole-population chunk: [`StudyStream::simulate_chunk`] over
-/// `0..n_users` at offset 0, followed by the same finalization
-/// (observation replay, counter absorption, timestamp sort). The
-/// checkpointed path in `xborder`'s `stream` module cuts the same
-/// machinery into many chunks; both produce bit-identical datasets.
+/// Structurally this is the segment loop run as one whole-population
+/// segment: [`StudyStream::simulate_chunk`] over `0..n_users` at offset
+/// 0, followed by the same finalization (observation replay, counter
+/// absorption, timestamp sort). Both produce bit-identical datasets.
 pub fn run_study_sharded<R: Rng>(
     cfg: &StudyConfig,
     graph: &WebGraph,

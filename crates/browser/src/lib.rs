@@ -15,9 +15,8 @@
 //!   schema: domains, URL string, IP — never full browsing history).
 //! * [`extension`] — the study driver producing an [`ExtensionDataset`]
 //!   over the simulated study window, plus Table-1-style statistics.
-//! * [`colog`] — the log's columnar (SoA) twin: per-segment
-//!   [`SegmentBlock`]s, the form the streaming driver keeps committed
-//!   segments in and the checkpoint chunk payload (DESIGN.md §5j).
+//! * [`colog`] — the log's columnar (SoA) form: per-segment
+//!   [`SegmentBlock`]s, the checkpoint chunk payload (DESIGN.md §5j).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

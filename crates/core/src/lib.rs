@@ -26,9 +26,11 @@
 //! * [`worldgen`] — materializes a synthetic world (orgs, PoPs, servers,
 //!   DNS zones) from a [`WorldConfig`].
 //! * [`pipeline`] — runs the extension study, classification, IP-set
-//!   completion and geolocation, producing a [`pipeline::StudyOutputs`].
-//! * [`stream`] — the checkpointed streaming twin of the pipeline:
-//!   chunked ingestion, crash-safe resume (DESIGN.md §5g).
+//!   completion and geolocation, producing a [`pipeline::StudyOutputs`]:
+//!   the streaming driver run as one in-memory segment.
+//! * [`stream`] — the one stage sequence (the segment loop) and the
+//!   checkpointed streaming driver on it: chunked ingestion, crash-safe
+//!   resume (DESIGN.md §5g).
 //! * [`ips`] — tracker IP set construction + passive-DNS completion
 //!   (Sect. 3.3).
 //! * [`dedicated`] — dedicated-IP analysis (Figs. 4–5).

@@ -35,9 +35,7 @@
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::net::IpAddr;
-use xborder_browser::{
-    ExtensionDataset, LoggedRequest, UserPopulation, Visit, LABEL_ABP, LABEL_SEMI,
-};
+use xborder_browser::{ExtensionDataset, LoggedRequest, UserPopulation, Visit};
 use xborder_classify::Classification;
 use crate::confine::is_eu28;
 use xborder_netsim::time::{SimTime, TimeWindow};
@@ -188,14 +186,13 @@ impl SnapshotAccumulator {
         }
     }
 
-    /// Buckets one committed chunk's events. `labels` holds the
-    /// [`xborder_browser::SegmentBlock`] tag bytes, parallel to `requests`;
-    /// both are chunk-local (user ids are global).
+    /// Buckets one committed chunk's events. `labels` is parallel to
+    /// `requests`; both are chunk-local (user ids are global).
     pub(crate) fn absorb_chunk(
         &mut self,
         visits: &[Visit],
         requests: &[LoggedRequest],
-        labels: &[u8],
+        labels: &[Classification],
         infra: &Infrastructure,
     ) {
         debug_assert_eq!(requests.len(), labels.len());
@@ -205,10 +202,10 @@ impl SnapshotAccumulator {
         for (r, l) in requests.iter().zip(labels) {
             let d = &mut self.buckets[self.wins.entry(r.user.0, r.time)];
             d.requests += 1;
-            match *l {
-                LABEL_ABP => d.abp += 1,
-                LABEL_SEMI => d.semi += 1,
-                _ => continue,
+            match l {
+                Classification::AbpTracking => d.abp += 1,
+                Classification::SemiTracking => d.semi += 1,
+                Classification::Clean => continue,
             }
             d.tracker_ips.push(r.ip);
             if self.user_eu28.get(r.user.0 as usize).copied().unwrap_or(false) {

@@ -1,7 +1,10 @@
-//! Crash-safe streaming ingestion: the checkpointed incremental twin of
-//! [`crate::pipeline::run_extension_pipeline_degraded`] (DESIGN.md §5g),
-//! and the segment loop it shares with the out-of-core driver
-//! ([`crate::worldscale`], DESIGN.md §5j).
+//! The extension pipeline's one stage sequence — study → classify →
+//! complete → geolocate, run as a sequence of user segments — and the
+//! crash-safe streaming driver built on it (DESIGN.md §5g). The batch
+//! driver [`crate::pipeline::run_extension_pipeline_degraded`] is this
+//! module's driver run as one in-memory segment; the out-of-core driver
+//! ([`crate::worldscale`], DESIGN.md §5j) runs the same loop with a
+//! folding sink.
 //!
 //! The paper's study ran for 4.5 months; operated as a standing service
 //! (the WhoTracks.Me model), ingestion must survive kills, torn writes and
@@ -15,30 +18,35 @@
 //! ## One segment loop, two sinks
 //!
 //! `run_segments` is the whole study → classify → complete → geolocate
-//! flow for both chunked drivers. It opens and validates the checkpoint
-//! store, replays the durable chunks, ingests the remaining users chunk by
-//! chunk (simulate, classify, checkpoint, absorb pDNS), folds the
-//! degradation counters, propagation depths and observed tracker IP set,
-//! then runs the completion stage checkpoint and geolocation. A driver
-//! supplies where users come from (a materialized population, or ranges
-//! regenerated from `(pop_seed, range)`) and a sink that sees every
-//! committed segment once, in user order:
+//! flow for every driver. It opens and validates the checkpoint store
+//! (when there is one), replays the durable chunks, ingests the remaining
+//! users chunk by chunk (simulate, classify, checkpoint, absorb pDNS),
+//! folds the degradation counters, propagation depths and observed
+//! tracker IP set, then runs the completion stage checkpoint and
+//! geolocation. A driver supplies where users come from (a materialized
+//! population, or ranges regenerated from `(pop_seed, range)`) and a sink
+//! that sees every committed segment once, in user order, as owned rows
+//! and labels:
 //!
-//! * this driver's sink keeps the segments in memory as a plain vector of
-//!   columnar blocks, feeds the rolling snapshots, and reassembles the
-//!   full dataset at the end (the driver returns that dataset, so it holds
-//!   the whole log in memory);
+//! * this driver's sink appends the rows and labels to the dataset it
+//!   returns (it moves them when it is still empty, so a one-segment run
+//!   copies nothing) and feeds the rolling snapshots;
 //! * the worldscale sink folds constant-size aggregates and keeps no
 //!   segment at all.
+//!
+//! The columnar [`SegmentBlock`] and its label tag bytes are the
+//! checkpoint chunk format and nothing else: a segment becomes a block
+//! only when it is appended to a checkpoint, and a block becomes rows and
+//! labels again only when it is replayed from one.
 //!
 //! ## The determinism contract, extended
 //!
 //! Chunk size, kill schedule and thread budget are all pure
 //! performance/availability knobs: any chunking × any crash schedule ×
 //! any budget produces the dataset, classification, tracker IP set,
-//! estimates and degradation counters of the uninterrupted batch run, bit
-//! for bit (`tests/streaming_resume.rs` pins this against the batch
-//! fingerprint). The mechanisms:
+//! estimates and degradation counters of the uninterrupted one-segment
+//! run, bit for bit (`tests/streaming_resume.rs` pins this against the
+//! batch fingerprint). The mechanisms:
 //!
 //! * **Per-user everything.** A user's simulation depends only on
 //!   `(study_seed, user_id)` (DESIGN.md §5d), so any contiguous grouping
@@ -62,11 +70,15 @@
 //!   for that chunk (new unique URLs/hosts plus sparse memo/seen-bit
 //!   updates — O(unique values) total across the stream, not O(chunks ×
 //!   state)); resume re-applies the deltas in order instead of
-//!   re-deriving.
+//!   re-deriving. A run that is one segment with no checkpoint store has
+//!   no later chunk to carry that state to, so the loop classifies its
+//!   segment with [`xborder_classify::classify`] instead: the same
+//!   per-chunk stages without the cross-chunk tables, which keeps the
+//!   one-segment run's memory at the batch classifier's.
 //! * **Commutative tracker fold.** The observed tracker IP set folds
 //!   chunk by chunk through [`TrackerIpSet::absorb_tracking_request`]
-//!   (count, host-set union, window hull), which lands on the batch
-//!   driver's [`TrackerIpSet::from_dataset`] over the concatenated log.
+//!   (count, host-set union, window hull), which lands on
+//!   [`TrackerIpSet::from_dataset`] over the concatenated log.
 //! * **Ordered per-chunk side effects.** pDNS observations are buffered
 //!   with the chunk (and checkpointed with it), then absorbed into the
 //!   world's sensor as each chunk commits — chunk (= user) order, the
@@ -87,12 +99,13 @@
 //!   expects it — then loads chunk outputs from disk instead of
 //!   simulating them.
 //!
-//! With no checkpoint directory the chunk loop runs the same arithmetic
-//! minus the IO; with `chunk_users >= n_users` it is structurally the
-//! batch pipeline.
+//! With no checkpoint directory the loop runs the same arithmetic minus
+//! the IO, and never computes the config fingerprint; with
+//! `chunk_users >= n_users` it is the batch pipeline: one segment,
+//! classified by `classify`.
 
 use crate::ips::{CompletionStats, IpInfo, TrackerIpSet};
-use crate::pipeline::{geolocate_providers, EstimateMap, StudyOutputs};
+use crate::pipeline::{freeze_estimates_degraded_sharded, EstimateMap, StudyOutputs};
 use crate::snapshots::SnapshotAccumulator;
 use crate::worldgen::{World, WorldConfig};
 use rand::rngs::StdRng;
@@ -110,11 +123,12 @@ use xborder_browser::{
 };
 use xborder_checkpoint::{ByteReader, ByteWriter, CheckpointError, CheckpointStore, DecodeError};
 use xborder_classify::{
-    generate_lists, Classification, ClassificationResult, ClassifierStages, FilterList,
+    classify, generate_lists, Classification, ClassificationResult, ClassifierStages, FilterList,
     IncrementalClassifier, MethodCounts,
 };
 use xborder_faults::{stable_hash, DegradationReport, FaultInjector, FaultPlan, KillSwitch};
 use xborder_geo::Region;
+use xborder_geoloc::{IpMap, RegistryDb, RegistryStyle};
 use xborder_netsim::time::{SimTime, TimeWindow};
 use xborder_netsim::Infrastructure;
 use xborder_webgraph::Domain;
@@ -237,26 +251,25 @@ pub fn config_fingerprint(config: &WorldConfig, plan: &FaultPlan) -> Result<u64,
     Ok(h)
 }
 
-/// Maps chunk labels onto the [`SegmentBlock`] tag bytes (the tag values
-/// are part of the checkpoint format; `xborder_browser::colog` documents
-/// them as matching this codec).
-fn labels_to_bytes(labels: &[Classification]) -> Vec<u8> {
-    labels
-        .iter()
-        .map(|l| match l {
-            Classification::AbpTracking => LABEL_ABP,
-            Classification::SemiTracking => LABEL_SEMI,
-            Classification::Clean => LABEL_CLEAN,
-        })
-        .collect()
+/// A label's [`SegmentBlock`] tag byte. The tag values are part of the
+/// checkpoint format (`xborder_browser::colog` documents them as matching
+/// this codec), and they are also the label bytes the worldscale request
+/// digest hashes.
+pub(crate) fn label_tag(label: Classification) -> u8 {
+    match label {
+        Classification::AbpTracking => LABEL_ABP,
+        Classification::SemiTracking => LABEL_SEMI,
+        Classification::Clean => LABEL_CLEAN,
+    }
 }
 
-/// Reverses [`labels_to_bytes`]; an unknown tag is typed corruption (the
-/// bytes may come from a checkpoint blob).
+/// Reverses [`label_tag`] over a replayed chunk's tag bytes; an unknown
+/// tag is typed corruption of `file`.
 fn labels_from_bytes(file: &str, bytes: &[u8]) -> Result<Vec<Classification>, StreamError> {
     bytes
         .iter()
-        .map(|&b| match b {
+        .enumerate()
+        .map(|(i, &b)| match b {
             LABEL_ABP => Ok(Classification::AbpTracking),
             LABEL_SEMI => Ok(Classification::SemiTracking),
             LABEL_CLEAN => Ok(Classification::Clean),
@@ -264,7 +277,7 @@ fn labels_from_bytes(file: &str, bytes: &[u8]) -> Result<Vec<Classification>, St
                 file,
                 DecodeError {
                     offset: 0,
-                    detail: format!("unknown classification tag {tag}"),
+                    detail: format!("request {i} has unknown classification tag {tag}"),
                 },
             )),
         })
@@ -272,20 +285,32 @@ fn labels_from_bytes(file: &str, bytes: &[u8]) -> Result<Vec<Classification>, St
 }
 
 // ---------------------------------------------------------------------------
-// The segment loop shared by the streaming and out-of-core drivers.
+// The segment loop every driver runs.
 // ---------------------------------------------------------------------------
+
+/// One segment's rows and labels, freshly simulated and classified or
+/// decoded from a checkpoint chunk.
+#[derive(Debug)]
+struct SegmentRows {
+    chunk: StudyChunk,
+    labels: Vec<Classification>,
+    /// Stage-2 and stage-3 fixpoint rounds of the segment's classification.
+    rounds: (usize, usize),
+    /// The users the segment covers.
+    users: Range<usize>,
+}
 
 /// One committed segment as the loop hands it to a [`SegmentSink`]:
 /// replayed from a checkpoint or freshly ingested, always in user order.
 pub(crate) struct Segment<'a> {
-    /// The columnar block (the checkpointed form of the segment).
-    pub block: SegmentBlock,
-    /// The same rows in AoS form (referrers chunk-local, user ids global).
-    pub chunk: &'a StudyChunk,
-    /// Label tag bytes, parallel to `chunk.requests`.
-    pub labels: &'a [u8],
-    /// The users `block.user_start..block.user_end`.
+    /// The segment's rows (referrers chunk-local, user ids global).
+    pub chunk: StudyChunk,
+    /// Labels, parallel to `chunk.requests`.
+    pub labels: Vec<Classification>,
+    /// The segment's users, the first of them `user_start`.
     pub users: &'a [User],
+    /// Global id of the segment's first user.
+    pub user_start: usize,
     /// The world's server infrastructure (ground-truth geography).
     pub infra: &'a Infrastructure,
 }
@@ -337,11 +362,13 @@ pub(crate) struct SegmentRun {
 /// Runs the study as a sequence of user segments and everything after it
 /// up to geolocation — see the module docs. `rng` must be the world-RNG
 /// stream the driver drew its population and study seed from; it is left
-/// where the batch pipeline's geolocation expects it.
+/// where geolocation expects it.
 ///
-/// Timings: `study_ms` covers replay and ingest minus classification and
-/// the sink's own work; `classify_ms`, `completion_ms` and
-/// `geolocate_ms` are set here.
+/// Timings: `study_ms` covers replay, ingest and the tracker fold minus
+/// classification and the sink's own work; `classify_ms`,
+/// `completion_ms` and `geolocate_ms` are set here, and `study_allocs` /
+/// `study_alloc_bytes` sum the simulation calls of every ingested
+/// segment.
 pub(crate) fn run_segments<S: SegmentSink>(
     world: &mut World,
     rng: &mut StdRng,
@@ -355,9 +382,11 @@ pub(crate) fn run_segments<S: SegmentSink>(
     let threads = world.config.parallelism.threads.max(1);
     // Open (and validate) the checkpoint directory before burning any
     // simulation time: a seed/version mismatch must refuse up front.
-    let fingerprint = config_fingerprint(&world.config, plan)?;
     let mut store = match inputs.checkpoint_dir {
-        Some(dir) => Some(CheckpointStore::open(dir, fingerprint)?),
+        Some(dir) => Some(CheckpointStore::open(
+            dir,
+            config_fingerprint(&world.config, plan)?,
+        )?),
         None => None,
     };
     let durable = store
@@ -366,29 +395,27 @@ pub(crate) fn run_segments<S: SegmentSink>(
     let n_users = inputs.n_users;
     let segment_users = inputs.segment_users.max(1);
 
-    // Filter lists are a pure function of the web graph (no RNG); build
-    // them once for the delta-fixpoint classifier. Constructing the
-    // classifier compiles the rule engine (automaton, anchor buckets,
-    // prefilter), so the compile cost books under classify time — the
-    // batch path pays the same compile inside `classify_with_stages_threads`.
+    // Filter lists are a pure function of the web graph (no RNG). A run
+    // that is one segment with nothing to persist classifies it with
+    // `classify`; every other run carries the delta-fixpoint classifier
+    // across segments. Constructing it compiles the rule engine, so the
+    // compile books under classify time, as it does inside `classify`.
     let (easylist, easyprivacy) = generate_lists(&world.graph);
-    let t_compile = Instant::now();
-    let mut classifier =
-        IncrementalClassifier::new(&easylist, &easyprivacy, ClassifierStages::default());
-    let mut classify_ms = t_compile.elapsed().as_secs_f64() * 1e3;
+    let t_study = Instant::now();
+    let mut incremental = (store.is_some() || n_users > segment_users)
+        .then(|| IncrementalClassifier::new(&easylist, &easyprivacy, ClassifierStages::default()));
+    let mut classify_ms = t_study.elapsed().as_secs_f64() * 1e3;
+    let mut one_segment_counts = (MethodCounts::default(), MethodCounts::default());
 
     let mut tracker_ips = TrackerIpSet::default();
     let (mut stage2_depth, mut stage3_rounds) = (0usize, 0usize);
     let (mut pre_fault_offset, mut next_user, mut index) = (0u64, 0usize, 0usize);
     let mut sink_ms = 0.0f64;
-    let t_study = Instant::now();
-    let cls_ms_before_study = classify_ms;
     {
         // The view over the world's DNS zones is read-only; the pDNS
         // sensor is borrowed mutably alongside it (disjoint fields) so each
         // committed chunk's observations absorb immediately, in chunk
-        // order. Each iteration's users and AoS chunk die before the next
-        // one starts.
+        // order. Each iteration's users and rows die with the sink call.
         let (view, pdns) = world.dns.indexed_view_and_pdns(world.graph.domains());
         let ctx = StudyCtx::new(
             &world.config.study,
@@ -398,31 +425,32 @@ pub(crate) fn run_segments<S: SegmentSink>(
             inputs.mean_activity,
         );
         while index < durable.len() || next_user < n_users {
-            let (block, chunk, labels, (stage2, stage3), users) = match (durable.get(index), &store)
-            {
+            let (rows, users) = match (durable.get(index), &store, &mut incremental) {
                 // Replay: every chunk the manifest says is durable is
-                // loaded and validated instead of simulated. The loader
-                // never writes — a corrupt chunk surfaces as a typed error
-                // with the directory untouched. Applying the classifier
-                // deltas in chunk order reconstructs the exact live
-                // classifier, so the resumed run continues without
-                // re-deriving it.
-                (Some(entry), Some(store)) => {
+                // loaded, decoded and validated instead of simulated.
+                // The loader never writes — a corrupt chunk surfaces as
+                // a typed error with the directory untouched, before
+                // anything is folded. Applying the classifier deltas in
+                // chunk order reconstructs the exact live classifier,
+                // so the resumed run continues without re-deriving it.
+                (Some(entry), Some(store), Some(classifier)) => {
                     let payload = store.load_chunk(entry)?;
-                    let (block, cls_bytes) = decode_chunk_payload(&entry.file, &payload)?;
-                    // Chunks must tile the population in order, each block
-                    // covering exactly the users its manifest entry names.
-                    let range = (block.user_start as u64, block.user_end as u64);
+                    let (rows, cls_bytes) = decode_chunk_payload(&entry.file, &payload)?;
+                    // Chunks must tile the population in order, each
+                    // covering exactly the users its manifest entry
+                    // names.
+                    let range = &rows.users;
                     if entry.user_start != next_user as u64
                         || entry.user_end < entry.user_start
                         || entry.user_end > n_users as u64
-                        || range != (entry.user_start, entry.user_end)
+                        || (range.start as u64, range.end as u64)
+                            != (entry.user_start, entry.user_end)
                     {
                         return Err(CheckpointError::ManifestInvalid {
                             detail: format!(
-                                "chunk {} covers users {}..{} (block {}..{}) but {next_user} \
-                                 of {n_users} users are accounted for",
-                                entry.index, entry.user_start, entry.user_end, range.0, range.1,
+                                "chunk {} covers users {}..{} (block {range:?}) but \
+                                 {next_user} of {n_users} users are accounted for",
+                                entry.index, entry.user_start, entry.user_end,
                             ),
                         }
                         .into());
@@ -432,35 +460,50 @@ pub(crate) fn run_segments<S: SegmentSink>(
                         .apply_delta(&mut rd, world.graph.domains())
                         .map_err(|e| corrupt(&entry.file, e))?;
                     rd.finish().map_err(|e| corrupt(&entry.file, e))?;
-                    let (chunk, labels, stage2, stage3) = block.to_chunk();
-                    let users = (inputs.users)(next_user..entry.user_end as usize);
-                    (block, chunk, labels, (stage2, stage3), users)
+                    let users = (inputs.users)(rows.users.clone());
+                    (rows, users)
                 }
                 // Ingest the next chunk of users.
                 _ => {
                     let end = (next_user + segment_users).min(n_users);
                     killable(kill, &format!("chunk-{index}:begin"))?;
                     let users = (inputs.users)(next_user..end);
+                    // With a counting-allocator probe installed (bench
+                    // builds), the simulation's allocation traffic
+                    // lands in the report. No probe → zeros.
+                    let alloc_before = xborder_faults::alloc_snapshot();
                     let chunk = ctx.simulate_users(&users, &inj, threads, pre_fault_offset);
-                    // Delta-fixpoint classification: only this chunk's
-                    // frontier is walked; interner/memo/count state
-                    // persists across chunks. Sequential absorption is
-                    // label- and count-identical to the batch pass (and
+                    if let (Some((a0, b0)), Some((a1, b1))) =
+                        (alloc_before, xborder_faults::alloc_snapshot())
+                    {
+                        report.timings.study_allocs += a1.saturating_sub(a0);
+                        report.timings.study_alloc_bytes += b1.saturating_sub(b0);
+                    }
+                    // Sequential absorption is label- and
+                    // count-identical to one whole-log pass (and
                     // trivially thread-invariant).
                     let t_cls = Instant::now();
-                    let cls = classifier.append_chunk(&chunk.requests, world.graph.domains());
+                    let domains = world.graph.domains();
+                    let (labels, rounds) = match incremental.as_mut() {
+                        Some(classifier) => {
+                            let cls = classifier.append_chunk(&chunk.requests, domains);
+                            (cls.labels, (cls.stage2_rounds, cls.stage3_rounds))
+                        }
+                        None => {
+                            let cls = classify(&chunk.requests, domains, &easylist, &easyprivacy);
+                            one_segment_counts = (cls.abp, cls.semi);
+                            (cls.labels, (cls.stage2_rounds, cls.stage3_rounds))
+                        }
+                    };
                     classify_ms += t_cls.elapsed().as_secs_f64() * 1e3;
-                    let labels = labels_to_bytes(&cls.labels);
-                    let rounds = (cls.stage2_rounds as u32, cls.stage3_rounds as u32);
-                    let block = SegmentBlock::from_chunk(
-                        &chunk,
-                        &labels,
-                        rounds.0,
-                        rounds.1,
-                        (next_user as u32, end as u32),
-                    );
-                    if let Some(store) = &mut store {
-                        let payload = encode_chunk_payload(&block, &mut classifier);
+                    let rows = SegmentRows {
+                        chunk,
+                        labels,
+                        rounds,
+                        users: next_user..end,
+                    };
+                    if let (Some(store), Some(classifier)) = (&mut store, incremental.as_mut()) {
+                        let payload = encode_chunk_payload(&rows, classifier);
                         store.append_chunk(
                             index as u64,
                             next_user as u64,
@@ -470,9 +513,15 @@ pub(crate) fn run_segments<S: SegmentSink>(
                         )?;
                     }
                     killable(kill, &format!("chunk-{index}:committed"))?;
-                    (block, chunk, labels, rounds, users)
+                    (rows, users)
                 }
             };
+            let SegmentRows {
+                chunk,
+                labels,
+                rounds: (stage2, stage3),
+                users: range,
+            } = rows;
             // The committed segment's side effects, in chunk (= user)
             // order, identical for replayed and ingested chunks.
             for o in &chunk.observations {
@@ -481,22 +530,22 @@ pub(crate) fn run_segments<S: SegmentSink>(
             report.absorb_counters(&chunk.report);
             // Chunk propagation rounds are BFS depths over chunk-disjoint
             // component sets, so the batch depth is the max across chunks.
-            stage2_depth = stage2_depth.max((stage2 as usize).saturating_sub(1));
-            stage3_rounds = stage3_rounds.max(stage3 as usize);
-            for (r, &label) in chunk.requests.iter().zip(&labels) {
-                if label != LABEL_CLEAN {
+            stage2_depth = stage2_depth.max(stage2.saturating_sub(1));
+            stage3_rounds = stage3_rounds.max(stage3);
+            for (r, label) in chunk.requests.iter().zip(&labels) {
+                if label.is_tracking() {
                     let host = world.graph.domains().domain(r.host);
                     tracker_ips.absorb_tracking_request(r.ip, host, r.time);
                 }
             }
             pre_fault_offset += chunk.report.requests_generated;
-            next_user = block.user_end as usize;
+            next_user = range.end;
             index += 1;
             let seg = Segment {
-                block,
-                chunk: &chunk,
-                labels: &labels,
+                chunk,
+                labels,
                 users: &users,
+                user_start: range.start,
                 infra: &world.infra,
             };
             let t_sink = Instant::now();
@@ -505,17 +554,19 @@ pub(crate) fn run_segments<S: SegmentSink>(
         }
     }
     killable(kill, "stage:study:done")?;
-    report.timings.study_ms =
-        t_study.elapsed().as_secs_f64() * 1e3 - (classify_ms - cls_ms_before_study) - sink_ms;
+    report.timings.study_ms = t_study.elapsed().as_secs_f64() * 1e3 - classify_ms - sink_ms;
 
-    // Table-2 distinct counts absorbed chunk by chunk through the
-    // classifier's persistent seen-bits — no full-log recount. The
-    // running totals equal `classify`'s over the concatenated log
-    // (pinned in the classify crate's incremental tests). Nothing after
-    // this reads the classifier, so its state is freed before completion
-    // and geolocation allocate.
-    let (abp, semi) = classifier.counts();
-    drop(classifier);
+    // Table-2 distinct counts: the incremental classifier absorbed them
+    // chunk by chunk through its persistent seen-bits — no full-log
+    // recount; a one-segment run read them off `classify`. Both equal
+    // `classify`'s over the concatenated log (pinned in the classify
+    // crate's incremental tests). Nothing after this reads the
+    // classifier, so its state is freed before completion and
+    // geolocation allocate.
+    let (abp, semi) = match incremental {
+        Some(classifier) => classifier.counts(),
+        None => one_segment_counts,
+    };
     report.timings.classify_ms = classify_ms;
     killable(kill, "stage:classify:done")?;
 
@@ -550,9 +601,9 @@ pub(crate) fn run_segments<S: SegmentSink>(
     report.timings.completion_ms = t_stage.elapsed().as_secs_f64() * 1e3;
     killable(kill, "stage:completion:done")?;
 
-    // Geolocation — shared verbatim with the batch pipeline. Nothing
-    // after this point is checkpointed: a crash here re-runs geolocation
-    // deterministically from the durable completion state.
+    // Geolocation. Nothing after this point is checkpointed: a crash here
+    // re-runs geolocation deterministically from the durable completion
+    // state.
     let t_stage = Instant::now();
     let (ipmap_estimates, maxmind_estimates, ipapi_estimates) =
         geolocate_providers(world, rng, &tracker_ips, &inj, report, threads);
@@ -575,14 +626,104 @@ pub(crate) fn run_segments<S: SegmentSink>(
     })
 }
 
+/// The geolocation stage: freezes all three providers over the sorted
+/// tracker IP list.
+///
+/// All world-RNG draws stay on the calling thread, in a fixed order: the
+/// IPmap build consumes `rng`, then the registry seeds are drawn. The
+/// freezes never touch `rng` (per-IP measurement RNG is seeded from the
+/// address), which is what frees them to run concurrently.
+fn geolocate_providers(
+    world: &World,
+    rng: &mut StdRng,
+    tracker_ips: &TrackerIpSet,
+    inj: &FaultInjector,
+    report: &mut DegradationReport,
+    threads: usize,
+) -> (EstimateMap, EstimateMap, EstimateMap) {
+    let ip_list: Vec<IpAddr> = {
+        let mut v: Vec<IpAddr> = tracker_ips.ips.keys().copied().collect();
+        v.sort();
+        v
+    };
+    let ipmap = IpMap::new(world.config.ipmap, &world.infra, rng);
+    // MaxMind and ip-api share their seat-vs-truth coin (correlated errors,
+    // Table 3) but perturb independently.
+    let seat_seed: u64 = rng.gen();
+    let mm_noise_seed: u64 = rng.gen();
+    let ia_noise_seed: u64 = rng.gen();
+    let build_mm = || {
+        let mut seat = StdRng::seed_from_u64(seat_seed);
+        let mut noise = StdRng::seed_from_u64(mm_noise_seed);
+        RegistryDb::build(RegistryStyle::MaxMindLike, &world.infra, &mut seat, &mut noise)
+    };
+    let build_ia = || {
+        let mut seat = StdRng::seed_from_u64(seat_seed);
+        let mut noise = StdRng::seed_from_u64(ia_noise_seed);
+        RegistryDb::build(RegistryStyle::IpApiLike, &world.infra, &mut seat, &mut noise)
+    };
+    // The three provider freezes run concurrently (sequentially at a budget
+    // of 1), each sharded over the IP list; per-provider reports merge in
+    // the fixed sequential order (ipmap → mm → ia), which equals the
+    // sequential totals because counter addition commutes.
+    let ((a, ra), (b, rb), (c, rc)) = if threads <= 1 {
+        (
+            freeze_estimates_degraded_sharded(&ipmap, &ip_list, inj, 1),
+            freeze_estimates_degraded_sharded(&build_mm(), &ip_list, inj, 1),
+            freeze_estimates_degraded_sharded(&build_ia(), &ip_list, inj, 1),
+        )
+    } else {
+        let per_provider = threads.div_ceil(3);
+        std::thread::scope(|scope| {
+            let ha = scope.spawn(|| {
+                freeze_estimates_degraded_sharded(&ipmap, &ip_list, inj, per_provider)
+            });
+            let hb = scope.spawn(|| {
+                freeze_estimates_degraded_sharded(&build_mm(), &ip_list, inj, per_provider)
+            });
+            let hc = scope.spawn(|| {
+                freeze_estimates_degraded_sharded(&build_ia(), &ip_list, inj, per_provider)
+            });
+            (
+                ha.join().expect("ipmap freeze panicked"),
+                hb.join().expect("maxmind freeze panicked"),
+                hc.join().expect("ipapi freeze panicked"),
+            )
+        })
+    };
+    report.absorb_counters(&ra);
+    report.absorb_counters(&rb);
+    report.absorb_counters(&rc);
+    // Assignment-cache counters accumulate inside the IpMap (shared
+    // read-only across the shard threads); snapshot them into the report
+    // after the freeze. Budget-invariant by construction (DESIGN.md §5e).
+    let cache_stats = ipmap.assign_cache_stats();
+    report.geoloc_assign_cache_hits = cache_stats.hits;
+    report.geoloc_assign_cache_misses = cache_stats.misses;
+    report.geoloc_index_probe_visits = cache_stats.index_probe_visits;
+    (a, b, c)
+}
+
 // ---------------------------------------------------------------------------
 // The streaming driver.
 // ---------------------------------------------------------------------------
 
-/// The streaming driver's sink: keeps every committed segment for the
-/// final dataset and feeds the rolling snapshots.
+/// Appends `src` to `dst`, moving the vector when `dst` is empty.
+fn append<T>(dst: &mut Vec<T>, src: Vec<T>) {
+    if dst.is_empty() {
+        *dst = src;
+    } else {
+        dst.extend(src);
+    }
+}
+
+/// The streaming driver's sink: appends every committed segment's rows
+/// and labels to the dataset and feeds the rolling snapshots.
+#[derive(Default)]
 struct DatasetSink {
-    segments: Vec<SegmentBlock>,
+    visits: Vec<Visit>,
+    requests: Vec<LoggedRequest>,
+    labels: Vec<Classification>,
     snapshots: Option<SnapshotAccumulator>,
     snapshot_ms: f64,
 }
@@ -612,18 +753,29 @@ impl DatasetSink {
 
 impl SegmentSink for DatasetSink {
     fn absorb(&mut self, seg: Segment<'_>, kill: &KillSwitch) -> Result<(), StreamError> {
-        let users_ingested = seg.block.user_end as usize;
+        let users_ingested = seg.user_start + seg.users.len();
+        let StudyChunk {
+            visits,
+            mut requests,
+            ..
+        } = seg.chunk;
         if let Some(acc) = &mut self.snapshots {
             let t = Instant::now();
-            acc.absorb_chunk(
-                &seg.chunk.visits,
-                &seg.chunk.requests,
-                seg.labels,
-                seg.infra,
-            );
+            acc.absorb_chunk(&visits, &requests, &seg.labels, seg.infra);
             self.snapshot_ms += t.elapsed().as_secs_f64() * 1e3;
         }
-        self.segments.push(seg.block);
+        // Chunk-local referrers → dataset rows: referrers never cross
+        // users, hence never chunks, so every row shifts by the rows
+        // already kept.
+        let offset = self.requests.len() as u32;
+        for r in &mut requests {
+            if let Referrer::Request(RequestId(p)) = &mut r.referrer {
+                *p += offset;
+            }
+        }
+        append(&mut self.visits, visits);
+        append(&mut self.requests, requests);
+        append(&mut self.labels, seg.labels);
         self.emit_due_snapshots(users_ingested, kill)
     }
 }
@@ -631,7 +783,8 @@ impl SegmentSink for DatasetSink {
 /// Runs the extension pipeline as checkpointed streaming ingestion.
 ///
 /// Identical outputs to [`crate::pipeline::run_extension_pipeline_degraded`]
-/// for every `(stream, kill schedule)` — see the module docs. On
+/// (this driver at one in-memory segment) for every
+/// `(stream, kill schedule)` — see the module docs. On
 /// [`StreamError::Killed`] the process is assumed dead; call again with
 /// the same world seed and checkpoint directory to resume from the last
 /// durable chunk. `kill` is the fault harness's crash trigger; pass
@@ -645,18 +798,15 @@ pub fn run_extension_pipeline_streaming(
     let mut report = DegradationReport::default();
     let t_total = Instant::now();
 
-    // World-RNG draws mirror the batch pipeline exactly: one study-stream
-    // draw, then population generation, then the study seed. Resume runs
-    // repeat these draws (they are cheap and deterministic), which leaves
-    // `rng` positioned where the geolocation stage expects it.
+    // World-RNG draws: one study-stream draw, then population generation,
+    // then the study seed. Resume runs repeat these draws (they are cheap
+    // and deterministic), which leaves `rng` positioned where the
+    // geolocation stage expects it.
     let mut rng = StdRng::seed_from_u64(world.study_rng.gen());
     let population = UserPopulation::generate(&world.config.study.population, &mut rng);
     let study_seed: u64 = rng.gen();
 
-    // Committed segments stay in memory as columnar blocks until the
-    // dataset is reassembled (DESIGN.md §5j).
     let mut sink = DatasetSink {
-        segments: Vec::new(),
         snapshots: (stream_cfg.snapshot_windows > 0).then(|| {
             SnapshotAccumulator::new(
                 world.config.study.window,
@@ -664,7 +814,7 @@ pub fn run_extension_pipeline_streaming(
                 stream_cfg.snapshot_windows,
             )
         }),
-        snapshot_ms: 0.0,
+        ..DatasetSink::default()
     };
     // A zero-user stream commits no segment, and every snapshot window
     // is trivially covered from the start.
@@ -688,31 +838,18 @@ pub fn run_extension_pipeline_streaming(
         &mut report,
     )?;
 
-    // Finalize the study: reassemble the global log in chunk (= user)
-    // order, exactly the batch merge.
+    // Logs arrive at the collection server in timestamp order. The
+    // pre-sort order (user-major, generation order within a user) is the
+    // same at every chunking and thread budget, so this stable sort is
+    // too. Requests keep generation order: cascade referrers are
+    // positional.
     let t_finalize = Instant::now();
-    let mut visits: Vec<Visit> = Vec::new();
-    let mut requests: Vec<LoggedRequest> = Vec::new();
-    let mut labels: Vec<Classification> = Vec::new();
-    for (i, block) in sink.segments.into_iter().enumerate() {
-        let (chunk, label_bytes, _, _) = block.to_chunk();
-        labels.extend(labels_from_bytes(&format!("segment-{i:05}"), &label_bytes)?);
-        let offset = requests.len() as u32;
-        visits.extend(chunk.visits);
-        requests.extend(chunk.requests.into_iter().map(|mut r| {
-            if let Referrer::Request(RequestId(p)) = r.referrer {
-                r.referrer = Referrer::Request(RequestId(p + offset));
-            }
-            r
-        }));
-    }
-    // Same stable timestamp sort as the batch driver (the pre-sort order —
-    // user-major, generation order within a user — is identical).
+    let mut visits = sink.visits;
     visits.sort_by_key(|v| v.time);
     let dataset = ExtensionDataset {
         users: population,
         visits,
-        requests,
+        requests: sink.requests,
         domains: world.graph.domains().clone(),
     };
     report.timings.snapshot_ms = sink.snapshot_ms;
@@ -721,7 +858,7 @@ pub fn run_extension_pipeline_streaming(
     let out = StudyOutputs {
         dataset,
         classification: ClassificationResult {
-            labels,
+            labels: sink.labels,
             abp: run.abp,
             semi: run.semi,
             propagation_rounds: run.stage2_rounds + run.stage3_rounds,
@@ -740,6 +877,8 @@ pub fn run_extension_pipeline_streaming(
             .map(SnapshotAccumulator::into_snapshots)
             .unwrap_or_default(),
     };
+    // Headline metric over whatever survived the faults, so drift can be
+    // compared against a fault-free run of the same seed.
     report.eu28_confinement =
         crate::confine::region_breakdown_eu28(&out, &out.ipmap_estimates).share(Region::Eu28);
     report.timings.total_ms = t_total.elapsed().as_secs_f64() * 1e3;
@@ -809,28 +948,41 @@ fn read_counters(rd: &mut ByteReader<'_>) -> Result<DegradationReport, DecodeErr
     Ok(DegradationReport::from_counter_values(&values))
 }
 
-/// The durable chunk payload: two length-prefixed sections — the columnar
-/// segment block, then the incremental-classifier *delta* for this chunk.
-/// Encoding advances the classifier's delta baseline (the only caller
-/// encodes each chunk exactly once, in order); replay applies every
-/// durable chunk's delta in the same order to reconstruct the state.
-fn encode_chunk_payload(block: &SegmentBlock, classifier: &mut IncrementalClassifier) -> Vec<u8> {
+/// The durable chunk payload: two length-prefixed sections — the segment
+/// as a columnar [`SegmentBlock`] (labels as tag bytes), then the
+/// incremental-classifier *delta* for this chunk. This is the only place
+/// a segment becomes a block. Encoding advances the classifier's delta
+/// baseline (the only caller encodes each chunk exactly once, in order);
+/// replay applies every durable chunk's delta in the same order to
+/// reconstruct the state.
+fn encode_chunk_payload(rows: &SegmentRows, classifier: &mut IncrementalClassifier) -> Vec<u8> {
     let mut cw = ByteWriter::new();
     classifier.encode_delta(&mut cw);
     let cls = cw.into_bytes();
-    let seg = block.encode_bytes();
+    let tags: Vec<u8> = rows.labels.iter().map(|&l| label_tag(l)).collect();
+    let seg = SegmentBlock::from_chunk(
+        &rows.chunk,
+        &tags,
+        rows.rounds.0 as u32,
+        rows.rounds.1 as u32,
+        (rows.users.start as u32, rows.users.end as u32),
+    )
+    .encode_bytes();
     let mut w = ByteWriter::with_capacity(16 + seg.len() + cls.len());
     w.put_blob(&seg);
     w.put_blob(&cls);
     w.into_bytes()
 }
 
-/// Splits a chunk payload into its decoded segment block and the raw bytes
-/// of the classifier delta section (applied by the replay loop).
+/// Decodes a chunk payload into its rows and labels, plus the raw bytes of
+/// the classifier delta section (applied by the replay loop). This is the
+/// only place a block becomes rows again; every defect — framing, a block
+/// that does not decode, a label count or user id that does not fit, an
+/// unknown label tag — is typed corruption of `file`.
 fn decode_chunk_payload<'p>(
     file: &str,
     payload: &'p [u8],
-) -> Result<(SegmentBlock, &'p [u8]), StreamError> {
+) -> Result<(SegmentRows, &'p [u8]), StreamError> {
     let mut rd = ByteReader::new(payload);
     let seg = rd.blob().map_err(|e| corrupt(file, e))?;
     let cls = rd.blob().map_err(|e| corrupt(file, e))?;
@@ -848,7 +1000,14 @@ fn decode_chunk_payload<'p>(
     } else if let Some(i) = (0..n).find(|&i| !users.contains(&block.request_user(i))) {
         format!("request {i} names a user outside {users:?}")
     } else {
-        return Ok((block, cls));
+        let (chunk, tags, stage2, stage3) = block.to_chunk();
+        let rows = SegmentRows {
+            chunk,
+            labels: labels_from_bytes(file, &tags)?,
+            rounds: (stage2 as usize, stage3 as usize),
+            users: users.start as usize..users.end as usize,
+        };
+        return Ok((rows, cls));
     };
     Err(corrupt(file, DecodeError { offset: 0, detail }))
 }
@@ -942,14 +1101,14 @@ mod tests {
     use xborder_dns::PdnsIdObservation;
     use xborder_webgraph::{DomainId, PublisherId};
 
-    fn sample_block() -> SegmentBlock {
+    fn sample_chunk() -> StudyChunk {
         let report = DegradationReport {
             requests_generated: 3,
             requests_delivered: 2,
             dns_cache_hits: 7,
             ..Default::default()
         };
-        let chunk = StudyChunk {
+        StudyChunk {
             visits: vec![Visit {
                 user: UserId(1),
                 publisher: PublisherId(9),
@@ -983,8 +1142,18 @@ mod tests {
                 time: SimTime(101),
             }],
             report,
-        };
-        SegmentBlock::from_chunk(&chunk, &[LABEL_ABP, LABEL_SEMI], 1, 0, (0, 2))
+        }
+    }
+
+    fn sample_block() -> SegmentBlock {
+        SegmentBlock::from_chunk(&sample_chunk(), &[LABEL_ABP, LABEL_SEMI], 1, 0, (0, 2))
+    }
+
+    fn payload(block: &SegmentBlock) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.put_blob(&block.encode_bytes());
+        w.put_blob(&[]);
+        w.into_bytes()
     }
 
     #[test]
@@ -994,7 +1163,7 @@ mod tests {
             Classification::SemiTracking,
             Classification::Clean,
         ];
-        let bytes = labels_to_bytes(&labels);
+        let bytes: Vec<u8> = labels.iter().map(|&l| label_tag(l)).collect();
         assert_eq!(bytes, vec![LABEL_ABP, LABEL_SEMI, LABEL_CLEAN]);
         assert_eq!(labels_from_bytes("seg", &bytes).unwrap(), labels);
         let err = labels_from_bytes("seg", &[LABEL_ABP, 9]).unwrap_err();
@@ -1014,7 +1183,12 @@ mod tests {
         w.put_blob(&[0xAB, 0xCD, 0xEF]);
         let payload = w.into_bytes();
         let (back, cls) = decode_chunk_payload("chunk-00000.xbc", &payload).unwrap();
-        assert_eq!(back, block);
+        assert_eq!(back.chunk, sample_chunk());
+        assert_eq!(
+            back.labels,
+            vec![Classification::AbpTracking, Classification::SemiTracking]
+        );
+        assert_eq!((back.rounds, back.users), ((1, 0), 0..2));
         assert_eq!(cls, &[0xAB, 0xCD, 0xEF]);
 
         let mut with_trailer = payload.clone();
@@ -1047,10 +1221,7 @@ mod tests {
         // whose labels column is missing (or short) is corrupt.
         let (chunk, _, _, _) = sample_block().to_chunk();
         let unlabeled = SegmentBlock::from_chunk(&chunk, &[], 0, 0, (0, 2));
-        let mut w = ByteWriter::new();
-        w.put_blob(&unlabeled.encode_bytes());
-        w.put_blob(&[]);
-        let err = decode_chunk_payload("chunk-00000.xbc", &w.into_bytes()).unwrap_err();
+        let err = decode_chunk_payload("chunk-00000.xbc", &payload(&unlabeled)).unwrap_err();
         assert!(matches!(
             err,
             StreamError::Checkpoint(CheckpointError::Corrupt { .. })
@@ -1063,13 +1234,24 @@ mod tests {
         // a block whose rows name users outside its range is corrupt.
         let (chunk, labels, _, _) = sample_block().to_chunk();
         let narrow = SegmentBlock::from_chunk(&chunk, &labels, 1, 0, (0, 1));
-        let mut w = ByteWriter::new();
-        w.put_blob(&narrow.encode_bytes());
-        w.put_blob(&[]);
-        let err = decode_chunk_payload("chunk-00000.xbc", &w.into_bytes()).unwrap_err();
+        let err = decode_chunk_payload("chunk-00000.xbc", &payload(&narrow)).unwrap_err();
         assert!(
             matches!(&err, StreamError::Checkpoint(CheckpointError::Corrupt { detail, .. })
                 if detail.contains("outside")),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn unknown_label_tag_is_corruption_of_the_chunk_file() {
+        // A well-framed block whose label column holds a tag no codec
+        // writes must refuse at decode, naming the chunk file — never
+        // reach a fold that would read the tag one way or another.
+        let tagged = SegmentBlock::from_chunk(&sample_chunk(), &[LABEL_ABP, 7], 1, 0, (0, 2));
+        let err = decode_chunk_payload("chunk-00003.xbc", &payload(&tagged)).unwrap_err();
+        assert!(
+            matches!(&err, StreamError::Checkpoint(CheckpointError::Corrupt { path, detail })
+                if path == Path::new("chunk-00003.xbc") && detail.contains("tag 7")),
             "{err:?}"
         );
     }

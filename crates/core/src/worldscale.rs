@@ -1,17 +1,17 @@
 //! Million-user worlds: the out-of-core extension pipeline (DESIGN.md §5j).
 //!
-//! [`crate::stream`] materializes the full population up front and
-//! reassembles the full [`xborder_browser::ExtensionDataset`] at
-//! finalization — both `O(world)` allocations. This module is the driver
-//! for [`crate::worldgen::WorldConfig::large`] worlds. It runs the same
-//! segment loop as the streaming driver (replay, ingest, checkpoint,
-//! completion, geolocation), but the population is never materialized
-//! (each segment's users regenerate from `(pop_seed, user_range)`) and no
-//! segment is kept: its sink folds every committed segment into
-//! constant-size aggregates, then drops it. That includes EU28
-//! confinement: tracking flows from EU28 users are counted per server IP
-//! during ingest and resolved against the IPmap estimates once
-//! geolocation has run, so there is no second pass over the log.
+//! The streaming driver in [`crate::stream`] materializes the full
+//! population up front and appends every segment's rows to the full
+//! [`xborder_browser::ExtensionDataset`] — both `O(world)` allocations.
+//! This module is the driver for [`crate::worldgen::WorldConfig::large`]
+//! worlds. It runs the same segment loop as the streaming driver (replay,
+//! ingest, checkpoint, completion, geolocation), but the population is
+//! never materialized (each segment's users regenerate from
+//! `(pop_seed, user_range)`) and no segment is kept: its sink folds every
+//! committed segment into constant-size aggregates, then drops it. That
+//! includes EU28 confinement: tracking flows from EU28 users are counted
+//! per server IP during ingest and resolved against the IPmap estimates
+//! once geolocation has run, so there is no second pass over the log.
 //!
 //! Memory is one segment of simulation plus the fold state plus the
 //! incremental classifier's interned state. The classifier state still
@@ -46,7 +46,8 @@ use crate::confine::{is_eu28, DestBreakdown};
 use crate::ips::{CompletionStats, TrackerIpSet};
 use crate::pipeline::EstimateMap;
 use crate::stream::{
-    put_ip, put_tracker_ips, run_segments, Segment, SegmentInputs, SegmentSink, StreamError,
+    label_tag, put_ip, put_tracker_ips, run_segments, Segment, SegmentInputs, SegmentSink,
+    StreamError,
 };
 use crate::worldgen::World;
 use rand::rngs::StdRng;
@@ -57,10 +58,10 @@ use std::net::IpAddr;
 use std::path::PathBuf;
 use std::time::Instant;
 use xborder_browser::{
-    LoggedRequest, Referrer, RequestId, StudyChunk, User, UserPopulation, Visit, LABEL_CLEAN,
+    LoggedRequest, Referrer, RequestId, StudyChunk, User, UserPopulation, Visit,
 };
 use xborder_checkpoint::ByteWriter;
-use xborder_classify::MethodCounts;
+use xborder_classify::{Classification, MethodCounts};
 use xborder_faults::{stable_hash, DegradationReport, FaultPlan, KillSwitch};
 use xborder_geo::Region;
 
@@ -237,10 +238,15 @@ struct Digests {
 }
 
 impl Digests {
-    /// Folds one chunk of rows. Chunks must arrive in global log order,
-    /// their referrers local to the chunk — a whole log in global order is
-    /// one chunk.
-    fn absorb(&mut self, visits: &[Visit], requests: &[LoggedRequest], labels: &[u8]) {
+    /// Folds one chunk of rows; `labels` yields one tag byte per request.
+    /// Chunks must arrive in global log order, their referrers local to
+    /// the chunk — a whole log in global order is one chunk.
+    fn absorb(
+        &mut self,
+        visits: &[Visit],
+        requests: &[LoggedRequest],
+        labels: impl IntoIterator<Item = u8>,
+    ) {
         for v in visits {
             // XOR fold: the batch dataset sorts visits by timestamp at
             // finalization; an order-insensitive digest sees through that.
@@ -251,7 +257,7 @@ impl Digests {
             self.visit_hash ^= stable_hash(&b);
         }
         let base = self.n_requests;
-        for (i, (r, &label)) in requests.iter().zip(labels).enumerate() {
+        for (i, (r, label)) in requests.iter().zip(labels).enumerate() {
             // Chunk-local parent row → global row: referrers never cross
             // users (hence never chunks), so parent and child share the
             // same base offset.
@@ -276,7 +282,7 @@ impl Digests {
 pub fn dataset_digests(visits: &[Visit], requests: &[LoggedRequest], labels: &[u8]) -> (u64, u64) {
     assert_eq!(labels.len(), requests.len(), "one label byte per request");
     let mut digests = Digests::default();
-    digests.absorb(visits, requests, labels);
+    digests.absorb(visits, requests, labels.iter().copied());
     (digests.visit_hash, digests.request_hash)
 }
 
@@ -309,21 +315,28 @@ impl Aggregates {
         }
     }
 
-    /// Folds one classified chunk. `labels` are the per-request tag bytes;
+    /// Folds one classified chunk. `labels` are parallel to the requests;
     /// `users` are the chunk's users, the first of them `user_start`.
     /// Chunks must arrive in user (= global log) order for the request
     /// digest to chain correctly.
-    fn absorb_chunk(&mut self, chunk: &StudyChunk, labels: &[u8], users: &[User], user_start: u32) {
+    fn absorb_chunk(
+        &mut self,
+        chunk: &StudyChunk,
+        labels: &[Classification],
+        users: &[User],
+        user_start: usize,
+    ) {
         debug_assert_eq!(labels.len(), chunk.requests.len());
-        self.digests.absorb(&chunk.visits, &chunk.requests, labels);
+        let tags = labels.iter().map(|&l| label_tag(l));
+        self.digests.absorb(&chunk.visits, &chunk.requests, tags);
         for v in &chunk.visits {
             self.visited_publishers[v.publisher.0 as usize] = true;
         }
         self.n_visits += chunk.visits.len() as u64;
         let user_eu28: Vec<bool> = users.iter().map(|u| is_eu28(u.country)).collect();
-        for (r, &label) in chunk.requests.iter().zip(labels) {
+        for (r, label) in chunk.requests.iter().zip(labels) {
             self.request_hosts[r.host.0 as usize] = true;
-            if label != LABEL_CLEAN && user_eu28[(r.user.0 - user_start) as usize] {
+            if label.is_tracking() && user_eu28[r.user.0 as usize - user_start] {
                 *self.eu28_flows.entry(r.ip).or_insert(0) += 1;
             }
         }
@@ -356,7 +369,7 @@ impl Aggregates {
 
 impl SegmentSink for Aggregates {
     fn absorb(&mut self, seg: Segment<'_>, _kill: &KillSwitch) -> Result<(), StreamError> {
-        self.absorb_chunk(seg.chunk, seg.labels, seg.users, seg.block.user_start);
+        self.absorb_chunk(&seg.chunk, &seg.labels, seg.users, seg.user_start);
         Ok(())
     }
 }
@@ -444,7 +457,7 @@ mod tests {
         // Two chunks absorbed in opposite orders must disagree: the
         // request digest is chained, not commutative (the global log has
         // one order).
-        use xborder_browser::{UserId, LABEL_ABP};
+        use xborder_browser::UserId;
         use xborder_netsim::time::SimTime;
         use xborder_webgraph::{DomainId, PublisherId};
         let req = |host: u32, url: &str| LoggedRequest {
@@ -473,11 +486,11 @@ mod tests {
             0..1,
         );
         let mut fwd = Aggregates::new(4, 4);
-        fwd.absorb_chunk(&c1, &[LABEL_ABP], &users, 0);
-        fwd.absorb_chunk(&c2, &[LABEL_ABP], &users, 0);
+        fwd.absorb_chunk(&c1, &[Classification::AbpTracking], &users, 0);
+        fwd.absorb_chunk(&c2, &[Classification::AbpTracking], &users, 0);
         let mut rev = Aggregates::new(4, 4);
-        rev.absorb_chunk(&c2, &[LABEL_ABP], &users, 0);
-        rev.absorb_chunk(&c1, &[LABEL_ABP], &users, 0);
+        rev.absorb_chunk(&c2, &[Classification::AbpTracking], &users, 0);
+        rev.absorb_chunk(&c1, &[Classification::AbpTracking], &users, 0);
         assert_ne!(fwd.digests.request_hash, rev.digests.request_hash);
         // The visit digest and distinct counts stay commutative.
         assert_eq!(fwd.digests.visit_hash, rev.digests.visit_hash);
@@ -491,7 +504,7 @@ mod tests {
         // the estimates after the fact, must equal folding every flow
         // through `absorb_eu28_flow` — origins outside EU28, clean rows
         // and IPs without an estimate included.
-        use xborder_browser::{LoggedRequest, UserId, LABEL_ABP};
+        use xborder_browser::{LoggedRequest, UserId};
         use xborder_geo::cc;
         use xborder_geoloc::GeoEstimate;
         use xborder_netsim::time::SimTime;
@@ -514,8 +527,14 @@ mod tests {
                 ip: ip(i),
             })
             .collect();
-        let labels: Vec<u8> = (0..120)
-            .map(|i| if i % 3 == 0 { LABEL_CLEAN } else { LABEL_ABP })
+        let labels: Vec<Classification> = (0..120)
+            .map(|i| {
+                if i % 3 == 0 {
+                    Classification::Clean
+                } else {
+                    Classification::AbpTracking
+                }
+            })
             .collect();
         let chunk = StudyChunk {
             visits: vec![],
@@ -533,8 +552,8 @@ mod tests {
         agg.absorb_chunk(&chunk, &labels, &users, 0);
         let got = agg.eu28_breakdown(&estimates);
         let mut want = DestBreakdown::default();
-        for (r, &label) in chunk.requests.iter().zip(&labels) {
-            if label != LABEL_CLEAN {
+        for (r, label) in chunk.requests.iter().zip(&labels) {
+            if label.is_tracking() {
                 want.absorb_eu28_flow(users[r.user.0 as usize].country, r.ip, &estimates);
             }
         }

@@ -118,6 +118,7 @@ impl DnsCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::forward;
     use crate::sim::{reference, DnsSim};
     use crate::zone::{MappingPolicy, ZoneEntry};
     use std::collections::HashMap;
@@ -193,8 +194,8 @@ mod tests {
         // The authoritative side (and its pDNS sensor) saw exactly one query.
         dns.absorb_id_observations(&cache.take_id_observations(), &domains);
         let host = Domain::new("t.x.com");
-        assert_eq!(dns.pdns().forward(&host).len(), 1);
-        assert_eq!(dns.pdns().forward(&host)[0].count, 1);
+        assert_eq!(forward(dns.pdns(), &host).len(), 1);
+        assert_eq!(forward(dns.pdns(), &host)[0].count, 1);
     }
 
     #[test]
@@ -261,8 +262,8 @@ mod tests {
         assert_eq!(obs[0].ip, ans.ip);
         dns.absorb_id_observations(&obs, &domains);
         let host = Domain::new("t.x.com");
-        assert_eq!(dns.pdns().forward(&host).len(), 1);
-        assert_eq!(dns.pdns().forward(&host)[0].count, 1);
+        assert_eq!(forward(dns.pdns(), &host).len(), 1);
+        assert_eq!(forward(dns.pdns(), &host)[0].count, 1);
         assert!(cache.take_id_observations().is_empty(), "drain is one-shot");
     }
 
@@ -432,7 +433,7 @@ mod tests {
         let mut replay_i = DnsSim::new();
         replay_i.absorb_id_observations(&obs_i, &domains);
         for h in &hosts {
-            assert_eq!(replay_s.forward(h), replay_i.pdns().forward(h));
+            assert_eq!(forward(&replay_s, h), forward(replay_i.pdns(), h));
         }
     }
 

@@ -58,3 +58,17 @@ impl std::fmt::Display for DnsError {
 }
 
 impl std::error::Error for DnsError {}
+
+#[cfg(test)]
+mod testutil {
+    use crate::{PassiveDnsDb, PdnsRecord};
+    use xborder_faults::{DegradationReport, FaultInjector};
+    use xborder_webgraph::Domain;
+
+    /// Every pDNS record of `domain`, as stored:
+    /// [`PassiveDnsDb::forward_degraded`] with no faults.
+    pub(crate) fn forward(db: &PassiveDnsDb, domain: &Domain) -> Vec<PdnsRecord> {
+        let mut report = DegradationReport::default();
+        db.forward_degraded(domain, &FaultInjector::inactive(), &mut report)
+    }
+}

@@ -77,27 +77,24 @@ impl PassiveDnsDb {
         }
     }
 
-    /// Forward lookup: every address ever seen answering for `domain`.
-    pub fn forward(&self, domain: &Domain) -> Vec<&PdnsRecord> {
-        self.forward
-            .get(domain)
-            .map(|idxs| idxs.iter().map(|&i| &self.records[i]).collect())
-            .unwrap_or_default()
-    }
-
-    /// Forward lookup under fault injection: sensor-gapped records are
-    /// invisible, stale records keep only their first-seen stamp (the
-    /// sensor stopped refreshing last-seen). Returns owned records because
-    /// stale windows are rewritten. Coins key on the (domain, ip) pair, so
-    /// repeated queries degrade identically.
+    /// Forward lookup: every address the sensors saw answering for
+    /// `domain`, as the fault plan lets them be seen. Sensor-gapped
+    /// records are invisible, stale records keep only their first-seen
+    /// stamp (the sensor stopped refreshing last-seen). Returns owned
+    /// records because stale windows are rewritten. Coins key on the
+    /// (domain, ip) pair, so repeated queries degrade identically; with
+    /// [`FaultInjector::inactive`] every record comes back as stored.
     pub fn forward_degraded(
         &self,
         domain: &Domain,
         inj: &FaultInjector,
         report: &mut DegradationReport,
     ) -> Vec<PdnsRecord> {
-        let mut out = Vec::new();
-        for rec in self.forward(domain) {
+        let Some(idxs) = self.forward.get(domain) else {
+            return Vec::new();
+        };
+        let mut out = Vec::with_capacity(idxs.len());
+        for rec in idxs.iter().map(|&i| &self.records[i]) {
             report.pdns_records_seen += 1;
             if !inj.is_active() {
                 out.push(rec.clone());
@@ -158,6 +155,7 @@ impl PassiveDnsDb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::forward;
 
     fn d(s: &str) -> Domain {
         Domain::new(s)
@@ -171,9 +169,9 @@ mod tests {
         let mut db = PassiveDnsDb::new();
         db.observe(&d("t.x.com"), ip("1.2.3.4"), SimTime(100));
         db.observe(&d("t.x.com"), ip("1.2.3.5"), SimTime(200));
-        let fwd = db.forward(&d("t.x.com"));
+        let fwd = forward(&db, &d("t.x.com"));
         assert_eq!(fwd.len(), 2);
-        assert!(db.forward(&d("other.com")).is_empty());
+        assert!(forward(&db, &d("other.com")).is_empty());
     }
 
     #[test]
@@ -181,11 +179,11 @@ mod tests {
         let mut db = PassiveDnsDb::new();
         db.observe(&d("t.x.com"), ip("1.2.3.4"), SimTime(100));
         db.observe(&d("t.x.com"), ip("1.2.3.4"), SimTime(5000));
-        let w = db.forward(&d("t.x.com"))[0].window;
+        let w = forward(&db, &d("t.x.com"))[0].window;
         assert_eq!(w.start, SimTime(100));
         assert!(w.contains(SimTime(5000)));
         assert_eq!(db.len(), 1);
-        assert_eq!(db.forward(&d("t.x.com"))[0].count, 2);
+        assert_eq!(forward(&db, &d("t.x.com"))[0].count, 2);
     }
 
     #[test]
@@ -209,8 +207,7 @@ mod tests {
         db.observe(&d("t.x.com"), ip("1.2.3.4"), SimTime(100));
         db.observe(&d("t.x.com"), ip("5.6.7.8"), SimTime(10_000));
         let w = TimeWindow::new(SimTime(0), SimTime(200));
-        let early: Vec<_> = db
-            .forward(&d("t.x.com"))
+        let early: Vec<_> = forward(&db, &d("t.x.com"))
             .into_iter()
             .filter(|r| r.window.overlaps(&w))
             .collect();

@@ -336,6 +336,7 @@ pub(crate) mod reference {
 mod tests {
     use super::*;
     use crate::cache::DnsCache;
+    use crate::testutil::forward;
     use crate::zone::MappingPolicy;
     use rand::{rngs::StdRng, SeedableRng};
     use xborder_faults::FaultPlan;
@@ -400,7 +401,7 @@ mod tests {
             .unwrap();
         assert_eq!(ans.country, cc!("DE"));
         dns.absorb_id_observations(&cache.take_id_observations(), &domains);
-        let fwd = dns.pdns().forward(&Domain::new("t.x.com"));
+        let fwd = forward(dns.pdns(), &Domain::new("t.x.com"));
         assert_eq!(fwd.len(), 1);
         assert_eq!(fwd[0].ip, ans.ip);
         assert_eq!(fwd[0].window.start, SimTime(42));
@@ -483,11 +484,11 @@ mod tests {
             }
         }
         dns.absorb_id_observations(&observations, &domains);
-        assert_eq!(dns.pdns().forward(&Domain::new("t.x.com")).len(), 1);
+        assert_eq!(forward(dns.pdns(), &Domain::new("t.x.com")).len(), 1);
         // Global sensors see all three.
         let mut rng = StdRng::seed_from_u64(4);
         dns.seed_global_pdns(SimTime(0), SimTime(1000), 1.0, &mut rng);
-        assert_eq!(dns.pdns().forward(&Domain::new("t.x.com")).len(), 3);
+        assert_eq!(forward(dns.pdns(), &Domain::new("t.x.com")).len(), 3);
     }
 
     #[test]
@@ -569,7 +570,7 @@ mod tests {
             time: SimTime(5),
         }];
         via_id.absorb_id_observations(&obs_i, &domains);
-        assert_eq!(direct.forward(&host), via_id.pdns().forward(&host));
+        assert_eq!(forward(&direct, &host), forward(via_id.pdns(), &host));
     }
 
     #[test]

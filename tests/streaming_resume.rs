@@ -17,9 +17,12 @@
 //!    post-commit `:dirsync` kill, and that resume actually consumes
 //!    durable chunks rather than recomputing them.
 //! 3. **Corruption matrix.** A truncated blob, a bit-flipped blob, a
+//!    validly framed chunk carrying an unknown label tag, a
 //!    version-bumped manifest and a mismatched world seed each refuse
 //!    resume with the precise typed error — and leave every byte of the
 //!    checkpoint directory untouched.
+
+mod support;
 
 use std::collections::HashMap;
 use std::fs;
@@ -180,18 +183,24 @@ fn chunking_is_invisible_in_output() {
                 );
             }
         }
-        // Checkpointing on changes IO, never outputs.
-        let dir = tmp_dir(&format!("inv-{plan_ix}"));
-        let (fp, report) = run_streaming(
-            tiny_config(seed).with_threads(1),
-            &plan,
-            &StreamConfig::durable(4, &dir),
-            &KillSwitch::none(),
-        )
-        .expect("durable streaming run succeeds");
-        assert_eq!(fp, batch_fp);
-        assert_eq!(report, batch_report);
-        let _ = fs::remove_dir_all(&dir);
+        // Checkpointing on changes IO, never outputs. A whole-stream
+        // durable chunk is one segment classified by the incremental
+        // classifier (a checkpoint store needs its deltas), while the
+        // in-memory whole-stream chunk above uses `classify`: both sides
+        // of the loop's classifier choice land on batch.
+        for chunk_users in [4usize, 16] {
+            let dir = tmp_dir(&format!("inv-{plan_ix}-{chunk_users}"));
+            let (fp, report) = run_streaming(
+                tiny_config(seed).with_threads(1),
+                &plan,
+                &StreamConfig::durable(chunk_users, &dir),
+                &KillSwitch::none(),
+            )
+            .expect("durable streaming run succeeds");
+            assert_eq!(fp, batch_fp, "durable chunk {chunk_users}: outputs");
+            assert_eq!(report, batch_report, "durable chunk {chunk_users}: report");
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 }
 
@@ -411,6 +420,21 @@ fn corruption_matrix_refuses_with_typed_errors_and_leaves_dir_untouched() {
     }
     assert_eq!(snapshot(&dir), before, "refusal must not write to the dir");
     fs::write(&chunk1, &pristine_chunk).unwrap();
+
+    // --- Valid frame, checksum and manifest entry, but a label tag no
+    // codec writes → Corrupt, naming the chunk file. ---
+    support::retag_first_clean_label(&dir, "chunk-00001.xbc", 7);
+    let before = snapshot(&dir);
+    match run_streaming(cfg(), &plan, &stream, &KillSwitch::none()) {
+        Err(StreamError::Checkpoint(CheckpointError::Corrupt { path, detail })) => {
+            assert_eq!(path, Path::new("chunk-00001.xbc"), "{detail}");
+            assert!(detail.contains("tag 7"), "{detail}");
+        }
+        other => panic!("expected Corrupt for the unknown label tag, got {other:?}"),
+    }
+    assert_eq!(snapshot(&dir), before, "refusal must not write to the dir");
+    fs::write(&chunk1, &pristine_chunk).unwrap();
+    fs::write(&manifest_path, &pristine_manifest).unwrap();
 
     // --- Manifest from a future format version → VersionMismatch. ---
     let needle = format!("\"version\": {}", xborder_checkpoint::CHECKPOINT_VERSION);

@@ -14,6 +14,11 @@
 //!    boundaries, blob write phases, stage boundaries) is swept: kill,
 //!    resume on the same directory, fingerprints bit-identical to the
 //!    uninterrupted run.
+//! 4. **Corrupt replay refuses.** A durable chunk whose only defect is an
+//!    unknown label tag stops the resume with a typed error naming the
+//!    chunk file, instead of folding a different answer.
+
+mod support;
 
 use std::fs;
 use std::path::PathBuf;
@@ -25,6 +30,7 @@ use xborder::worldscale::{
 };
 use xborder::{World, WorldConfig};
 use xborder_browser::{LABEL_ABP, LABEL_CLEAN, LABEL_SEMI};
+use xborder_checkpoint::CheckpointError;
 use xborder_classify::Classification;
 use xborder_faults::{FaultPlan, KillSwitch, StageTimings};
 
@@ -209,6 +215,38 @@ fn kill_anywhere_resume_matches_uninterrupted() {
         let _ = fs::remove_dir_all(&ckpt);
         site += 2;
     }
+}
+
+/// A replayed chunk with a valid frame, checksum and manifest entry but an
+/// unknown label tag must refuse the resume as corruption of that chunk
+/// file: the tracker fold and the EU28 flow counts would otherwise each
+/// read the tag their own way and land on a different fingerprint.
+#[test]
+fn unknown_label_tag_on_replay_is_typed_corruption() {
+    let seed = 11u64;
+    let plan = FaultPlan::none();
+    let ckpt = tmp_dir("unknown-tag");
+    let scale_cfg = ScaleConfig::durable(3, &ckpt);
+    // Every chunk durable, no completion stage yet: the resume replays
+    // all of them.
+    let kill = KillSwitch::at_label("stage:study:done");
+    match run_scale(tiny_config(seed), &plan, &scale_cfg, &kill) {
+        Err(StreamError::Killed { .. }) => {}
+        other => panic!("expected a kill at stage:study:done, got {other:?}"),
+    }
+    support::retag_first_clean_label(&ckpt, "chunk-00001.xbc", 7);
+    match run_scale(tiny_config(seed), &plan, &scale_cfg, &KillSwitch::none()) {
+        Err(StreamError::Checkpoint(CheckpointError::Corrupt { path, detail })) => {
+            assert_eq!(path, std::path::Path::new("chunk-00001.xbc"), "{detail}");
+            assert!(detail.contains("tag 7"), "{detail}");
+        }
+        Err(other) => panic!("expected Corrupt for the unknown label tag, got {other:?}"),
+        Ok((out, _)) => panic!(
+            "resume accepted an unknown label tag (fingerprint {:016x})",
+            out.fingerprint()
+        ),
+    }
+    let _ = fs::remove_dir_all(&ckpt);
 }
 
 /// `WorldConfig::large` worlds stream end to end without a segment store:
